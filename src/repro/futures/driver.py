@@ -22,10 +22,18 @@ runs many concurrent blocking jobs against one cluster: each job is an
 ordinary driver program, parked and resumed cooperatively.  Handoffs
 follow spawn order among runnable drivers, so the interleaving is a
 deterministic function of the program, not of OS scheduling.
+
+Runnable drivers wait in a *ready queue*: a heap of spawn indices.  A
+driver enters it when it is spawned and when the event it parked on is
+processed (``block_on`` appends a plain callback to the event, or
+enqueues at once if the event is already processed), so picking the
+next driver costs O(log drivers) per handoff instead of a scan of every
+driver per simulation step.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import threading
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -40,9 +48,13 @@ class DriverError(RuntimeError):
 class _DriverChannel:
     """One cooperatively scheduled driver thread and its handoff state."""
 
-    def __init__(self, host: "DriverHost", name: str, label: Optional[str]) -> None:
+    def __init__(
+        self, host: "DriverHost", name: str, label: Optional[str], order: int
+    ) -> None:
         self.host = host
         self.name = name
+        #: Spawn index within the run (0 = primary); the ready-queue key.
+        self.order = order
         #: Opaque tag for work submitted while this driver runs (the jobs
         #: layer sets it to the job id so tasks are attributed).
         self.label = label
@@ -143,6 +155,11 @@ class DriverHost:
         self._sim_sem = threading.Semaphore(0)
         self._channels: Dict[threading.Thread, _DriverChannel] = {}
         self._order: List[_DriverChannel] = []
+        #: Heap of spawn indices (into ``_order``) of drivers that became
+        #: runnable; entries whose driver is no longer runnable are
+        #: skipped.  A fresh list per run, so wake callbacks left on
+        #: events by an aborted run enqueue into a list nobody reads.
+        self._ready: List[int] = []
         self._seq = itertools.count()
         self._active = False
 
@@ -171,6 +188,7 @@ class DriverHost:
         if self._active:
             raise DriverError("a driver is already running")
         self._active = True
+        self._ready = []
         try:
             primary = self._make_channel(fn, args, kwargs, name="driver", label=None)
             while not primary.finished:
@@ -214,16 +232,24 @@ class DriverHost:
         name: str,
         label: Optional[str],
     ) -> _DriverChannel:
-        channel = _DriverChannel(self, name=name, label=label)
+        channel = _DriverChannel(self, name=name, label=label, order=len(self._order))
         channel.start(fn, args, kwargs)
         assert channel.thread is not None
         self._channels[channel.thread] = channel
         self._order.append(channel)
+        heapq.heappush(self._ready, channel.order)
         return channel
 
     def _next_runnable(self) -> Optional[_DriverChannel]:
-        """The runnable driver that spawned earliest (deterministic)."""
-        for channel in self._order:
+        """The runnable driver that spawned earliest (deterministic).
+
+        Pops it off the ready queue; the caller hands it off at once.
+        Every runnable driver has an entry, so the smallest runnable
+        index is the earliest-spawned runnable driver.
+        """
+        ready = self._ready
+        while ready:
+            channel = self._order[heapq.heappop(ready)]
             if channel.runnable:
                 return channel
         return None
@@ -263,6 +289,13 @@ class DriverHost:
                 "from inside a Runtime.run() driver function"
             )
         channel.wake = event
+        ready, order = self._ready, channel.order
+        if event.processed:
+            heapq.heappush(ready, order)
+        else:
+            # A plain callback, not add_callback: it must schedule no
+            # engine event, so the run's step count is unchanged.
+            event.callbacks.append(lambda _event: heapq.heappush(ready, order))
         self._sim_sem.release()
         channel.sem.acquire()
         return event.value

@@ -19,7 +19,6 @@ for offline reporting (:mod:`repro.obs.report`).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
@@ -119,19 +118,49 @@ EVENT_KINDS: Dict[str, str] = {
 }
 
 
-@dataclass(frozen=True)
 class ObsEvent:
-    """One timestamped, attributed, causally linked fact about a run."""
+    """One timestamped, attributed, causally linked fact about a run.
 
-    seq: int
-    ts: float
-    kind: str
-    node: Optional[str] = None
-    job: Optional[str] = None
-    task: Optional[str] = None
-    obj: Optional[str] = None
-    cause: Optional[int] = None
-    attrs: Dict[str, Any] = field(default_factory=dict)
+    A plain slotted record, built positionally on the emission hot path
+    (field order: ``seq, ts, kind, node, job, task, obj, cause,
+    attrs``).  It is *not* frozen -- treat a published event as
+    read-only, since subscribers and the retained log share the one
+    instance.  Events compare equal field by field and are unhashable.
+    """
+
+    __slots__ = ("seq", "ts", "kind", "node", "job", "task", "obj", "cause", "attrs")
+
+    def __init__(
+        self,
+        seq: int,
+        ts: float,
+        kind: str,
+        node: Optional[str] = None,
+        job: Optional[str] = None,
+        task: Optional[str] = None,
+        obj: Optional[str] = None,
+        cause: Optional[int] = None,
+        attrs: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        self.seq = seq
+        self.ts = ts
+        self.kind = kind
+        self.node = node
+        self.job = job
+        self.task = task
+        self.obj = obj
+        self.cause = cause
+        self.attrs: Dict[str, Any] = {} if attrs is None else attrs
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        names = self.__slots__
+        return tuple(getattr(self, n) for n in names) == tuple(
+            getattr(other, n) for n in names
+        )
+
+    __hash__ = None  # type: ignore[assignment]
 
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-serialisable dict (``None`` axes omitted)."""
@@ -172,9 +201,12 @@ class EventBus:
     """Collects and fans out :class:`ObsEvent` records for one run.
 
     ``clock`` supplies timestamps (the runtime passes its simulated
-    clock).  Emission is cheap -- an object append plus subscriber
-    callbacks -- and can be switched off wholesale with ``enabled``
-    for runs that want zero observability overhead.
+    clock).  Emission is cheap -- one slotted :class:`ObsEvent` built
+    positionally, a list append, and the subscriber callbacks -- and
+    can be switched off wholesale with ``enabled`` for runs that want
+    zero observability overhead.  Events are not frozen: the retained
+    log and every subscriber share one instance per event, so consumers
+    must not modify what they receive.
     """
 
     def __init__(
@@ -225,15 +257,15 @@ class EventBus:
                 f"the taxonomy in repro.obs.events.EVENT_KINDS"
             )
         event = ObsEvent(
-            seq=self._seq,
-            ts=float(self.clock()),
-            kind=kind,
-            node=None if node is None else str(node),
-            job=job,
-            task=None if task is None else str(task),
-            obj=None if obj is None else str(obj),
-            cause=cause,
-            attrs=attrs,
+            self._seq,
+            float(self.clock()),
+            kind,
+            None if node is None else str(node),
+            job,
+            None if task is None else str(task),
+            None if obj is None else str(obj),
+            cause,
+            attrs,
         )
         self._seq += 1
         self.events.append(event)

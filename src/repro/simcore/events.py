@@ -131,12 +131,12 @@ class _Condition(Event):
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env)
         self._events = list(events)
-        self._pending = 0
+        #: Children whose outcome has not yet reached ``_on_child``.
+        self._pending = len(self._events)
         for event in self._events:
             if event.processed:
                 self._on_child(event)
             else:
-                self._pending += 1
                 event.add_callback(self._on_child)
         self._check_empty()
 
@@ -168,7 +168,7 @@ class AllOf(_Condition):
             self.fail(event.exception)  # type: ignore[arg-type]
             return
         self._pending -= 1
-        if self._pending <= 0 and all(e.triggered for e in self._events):
+        if self._pending == 0:
             self.succeed(self._result())
 
 

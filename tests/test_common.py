@@ -1,5 +1,8 @@
 """Unit tests for units, ids, and seeded randomness."""
 
+import json
+import pickle
+
 import pytest
 
 from repro.common import (
@@ -70,6 +73,51 @@ class TestIds:
     def test_ordering_and_hashing(self):
         assert TaskId(1) < TaskId(2)
         assert len({ObjectId(5), ObjectId(5)}) == 1
+
+    def test_repr_and_format_render_the_tag(self):
+        assert repr(TaskId(42)) == "T00042"
+        assert repr([NodeId(3), ObjectId(317)]) == "[N003, O00317]"
+        assert f"{NodeId(3)}" == "N003"
+        assert "%s" % ObjectId(7) == "O00007"
+
+    def test_ordering_within_one_kind(self):
+        ids = [ObjectId(9), ObjectId(2), ObjectId(5)]
+        assert sorted(ids) == [ObjectId(2), ObjectId(5), ObjectId(9)]
+        assert max(ids) == ObjectId(9)
+        assert NodeId(2) <= NodeId(2) < NodeId(10)
+
+    def test_index_is_a_plain_int(self):
+        index = TaskId(42).index
+        assert index == 42 and type(index) is int
+
+    def test_pickle_round_trip_keeps_kind(self):
+        for ident in (NodeId(3), TaskId(42), ObjectId(0)):
+            back = pickle.loads(pickle.dumps(ident))
+            assert back == ident and type(back) is type(ident)
+            assert str(back) == str(ident)
+
+    def test_ids_are_slotted_ints(self):
+        assert not hasattr(NodeId(1), "__dict__")
+        assert hash(TaskId(7)) == hash(7)
+
+    def test_node_zero_is_falsy_but_not_none(self):
+        # Int semantics: test ids against None, never by truthiness.
+        zero = NodeId(0)
+        assert str(zero) == "N000"
+        assert not zero
+        assert zero is not None
+
+    def test_kinds_compare_by_index(self):
+        # Int semantics: kinds are not distinguished by ==, so one dict
+        # must never key two kinds.
+        assert NodeId(3) == TaskId(3) == 3
+        assert len({NodeId(3), TaskId(3)}) == 1
+
+    def test_json_encodes_the_bare_int(self):
+        # default= is never consulted for an int subclass, so writers
+        # must stringify ids themselves.
+        assert json.dumps([NodeId(3)], default=str) == "[3]"
+        assert json.dumps([str(NodeId(3))]) == '["N003"]'
 
 
 class TestRng:

@@ -112,3 +112,58 @@ def test_process_completion_event_exposes_ok():
     proc = env.process(fine())
     env.run()
     assert proc.ok and proc.value == "x"
+
+
+def test_all_of_with_processed_child_fails_on_same_instant_failure():
+    # A child already processed at construction used to knock the
+    # pending count out of step, so the AllOf fired while ``c`` was only
+    # triggered and read its error out of ``Environment.step``.
+    env = Environment()
+    a = env.event()
+    a.succeed("a")
+    env.run()
+    b, c = env.event(), env.event()
+    both = env.all_of([a, b, c])
+
+    def trigger():
+        b.succeed("b")
+        c.fail(ValueError("c failed"))
+
+    env.call_later(1.0, trigger)
+    env.run()
+    assert both.processed and not both.ok
+    assert isinstance(both.exception, ValueError)
+
+
+def test_all_of_with_processed_child_waits_for_every_child():
+    env = Environment()
+    a = env.event()
+    a.succeed("a")
+    env.run()
+    b, c = env.event(), env.event()
+    both = env.all_of([a, b, c])
+
+    def trigger():
+        b.succeed("b")
+        c.succeed("c")
+
+    env.call_later(1.0, trigger)
+    # Runs right after the AllOf has seen ``b``; ``c`` is triggered but
+    # not yet processed, so the AllOf must not have fired yet.
+    seen = []
+    b.add_callback(lambda e: seen.append(both.triggered))
+    env.run()
+    assert seen == [False]
+    assert both.value == ["a", "b", "c"]
+
+
+def test_all_of_over_processed_children_reports_a_failed_one():
+    env = Environment()
+    a, b = env.event(), env.event()
+    a.succeed("a")
+    b.fail(KeyError("b"))
+    env.run()
+    both = env.all_of([a, b])
+    env.run()
+    assert both.processed and not both.ok
+    assert isinstance(both.exception, KeyError)
