@@ -58,8 +58,11 @@ class _DriverChannel:
         #: Opaque tag for work submitted while this driver runs (the jobs
         #: layer sets it to the job id so tasks are attributed).
         self.label = label
-        #: Released by the controller to resume this driver.
-        self.sem = threading.Semaphore(0)
+        #: Released by the controller to resume this driver.  A lock
+        #: acquired up front: handoffs strictly alternate, so a binary
+        #: lock suffices and is cheaper than a semaphore.
+        self.sem = threading.Lock()
+        self.sem.acquire()
         #: The event this driver is parked on (None = runnable).
         self.wake: Optional[Event] = None
         #: ("ok", value) or ("err", exc) once the body returned.
@@ -152,7 +155,9 @@ class DriverHost:
         #: Optional structured event bus (:class:`repro.obs.EventBus`);
         #: subdriver lifecycles publish ``driver.spawn``/``driver.finish``.
         self.bus = bus
-        self._sim_sem = threading.Semaphore(0)
+        #: Released by a driver to hand control back (see ``sem``).
+        self._sim_sem = threading.Lock()
+        self._sim_sem.acquire()
         self._channels: Dict[threading.Thread, _DriverChannel] = {}
         self._order: List[_DriverChannel] = []
         #: Heap of spawn indices (into ``_order``) of drivers that became
@@ -191,6 +196,7 @@ class DriverHost:
         self._ready = []
         try:
             primary = self._make_channel(fn, args, kwargs, name="driver", label=None)
+            env, ready = self.env, self._ready
             while not primary.finished:
                 channel = self._next_runnable()
                 if channel is not None:
@@ -206,7 +212,14 @@ class DriverHost:
                         f"simulation deadlock at t={self.env.now}: drivers "
                         f"blocked ({parked}) but no events remain"
                     )
-                self.env.step()
+                # Step until a processed wake event enqueues a driver (no
+                # other way makes one runnable), at least once per pass: a
+                # ``_next_runnable`` override may leave entries queued.
+                # ``env.step`` is looked up per call because the
+                # self-profiler shadows it per instance.
+                env.step()
+                while not ready and env._queue:
+                    env.step()
             if primary.thread is not None:
                 primary.thread.join(timeout=30)
             kind, value = primary.outcome  # type: ignore[misc]

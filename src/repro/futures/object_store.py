@@ -89,6 +89,10 @@ class ObjectStore:
         # Insertion-ordered so eviction/spill candidates come out oldest
         # first, approximating Ray's creation-order spilling.
         self._entries: "OrderedDict[ObjectId, _Entry]" = OrderedDict()
+        #: How many entries are evictable cached copies (non-primary and
+        #: unpinned), so a grant that cannot be helped by eviction skips
+        #: the scan.
+        self._evictable = 0
         self._queue: Deque[AllocationRequest] = deque()
         self._on_pressure = on_pressure or (lambda: None)
         self._on_evict_cached = on_evict_cached or (lambda oid: None)
@@ -151,7 +155,7 @@ class ObjectStore:
         existing = self._entries.get(object_id)
         if existing is not None:
             if primary:
-                existing.primary = True
+                self._make_primary(existing)
             if pin:
                 self.pin(object_id)
             done = Event(self.env)
@@ -184,7 +188,7 @@ class ObjectStore:
             if pin:
                 self.pin(object_id)
             if primary:
-                self._entries[object_id].primary = True
+                self._make_primary(self._entries[object_id])
             return True
         request = AllocationRequest(self.env, object_id, size, primary, pin)
         return self._try_grant(request)
@@ -207,6 +211,8 @@ class ObjectStore:
         )
         if request.pin:
             self.pinned_bytes += request.size
+        elif not request.primary:
+            self._evictable += 1
         request.event.succeed("memory")
 
     def _evict_cached(
@@ -217,6 +223,8 @@ class ObjectStore:
         The memory policy orders the victims; the default drops oldest
         (insertion order) first.
         """
+        if not self._evictable:
+            return 0
         freed = 0
         cached = [
             CachedCopyView(object_id=oid, size=entry.size)
@@ -240,6 +248,7 @@ class ObjectStore:
             entry = self._entries.pop(victim.object_id, None)
             if entry is None or entry.primary or entry.pins > 0:
                 continue  # policy returned something no longer evictable
+            self._evictable -= 1
             self.used_bytes -= entry.size
             freed += entry.size
             self.cached_evictions += 1
@@ -290,6 +299,8 @@ class ObjectStore:
         entry = self._entries[object_id]
         if entry.pins == 0:
             self.pinned_bytes += entry.size
+            if not entry.primary:
+                self._evictable -= 1
         entry.pins += 1
 
     def unpin(self, object_id: ObjectId) -> None:
@@ -299,13 +310,24 @@ class ObjectStore:
             entry.pins -= 1
             if entry.pins == 0:
                 self.pinned_bytes -= entry.size
+                if not entry.primary:
+                    self._evictable += 1
 
     def demote_to_cached(self, object_id: ObjectId) -> None:
         """Mark an entry re-fetchable (its authoritative copy is elsewhere,
         e.g. it was just spilled to disk)."""
         entry = self._entries.get(object_id)
-        if entry is not None:
+        if entry is not None and entry.primary:
             entry.primary = False
+            if entry.pins == 0:
+                self._evictable += 1
+
+    def _make_primary(self, entry: _Entry) -> None:
+        """Upgrade a resident entry to the authoritative copy."""
+        if not entry.primary:
+            entry.primary = True
+            if entry.pins == 0:
+                self._evictable -= 1
 
     # -- release -----------------------------------------------------------------
     def free(self, object_id: ObjectId) -> bool:
@@ -316,6 +338,8 @@ class ObjectStore:
         self.used_bytes -= entry.size
         if entry.pins > 0:
             self.pinned_bytes -= entry.size
+        elif not entry.primary:
+            self._evictable -= 1
         self.pump()
         return True
 
@@ -364,6 +388,7 @@ class ObjectStore:
         """
         lost = list(self._entries)
         self._entries.clear()
+        self._evictable = 0
         self.used_bytes = 0
         self.pinned_bytes = 0
         queue, self._queue = self._queue, deque()

@@ -8,8 +8,9 @@ alternatives the ablation benchmarks select from the registry.
 
 from __future__ import annotations
 
+import heapq
 from collections import defaultdict, deque
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.rng import seeded_rng
 from repro.futures.policies.base import (
@@ -382,6 +383,14 @@ class FairShareDispatchPolicy:
     top via shared concurrent-slot caps.  Unregistered work (plain
     single-driver runs, retried in-flight tasks) bypasses fairness and
     launches immediately.
+
+    Picking costs O(log jobs) per launch: jobs with parked work sit in
+    a heap keyed by ``(vtime, job)``, checked lazily when popped (an
+    entry whose job left, drained or has since advanced is dropped).  A
+    job popped while its tenant is at its cap waits in the tenant's
+    blocked set until a slot of that tenant frees or the cap is
+    overwritten.  Each pick equals ``min((vtime, job))`` over the
+    eligible jobs (non-empty queue, tenant under its cap).
     """
 
     name = "fair-share"
@@ -400,8 +409,15 @@ class FairShareDispatchPolicy:
         self._vtime: Dict[str, float] = {}
         self._vclock = 0.0
         self._inflight: Dict[TaskRecord, str] = {}
-        self._inflight_by_job: Dict[str, int] = defaultdict(int)
+        #: Slots held per job; an unregistered job's entry goes once its
+        #: last in-flight task is done.
+        self._inflight_by_job: Dict[str, int] = {}
         self._inflight_by_tenant: Dict[str, int] = defaultdict(int)
+        #: ``(vtime, job)`` candidates; stale entries are dropped on pop.
+        self._heap: List[Tuple[float, str]] = []
+        #: tenant -> jobs popped while the tenant was at its cap (a dict
+        #: used as an insertion-ordered set).
+        self._blocked: Dict[str, Dict[str, None]] = {}
 
     # -- job registry -------------------------------------------------------
     def register_job(
@@ -427,6 +443,9 @@ class FairShareDispatchPolicy:
         self._tenant_of[job_id] = tenant
         if tenant is not None and tenant_task_slots is not None:
             self._tenant_caps[tenant] = tenant_task_slots
+            # The cap may have risen: let the tenant's blocked jobs
+            # compete again (popping re-blocks them if it did not).
+            self._unblock(tenant)
         # Join at the current virtual clock: no retroactive catch-up.
         self._vtime[job_id] = self._vclock
 
@@ -438,8 +457,15 @@ class FairShareDispatchPolicy:
         if queue is None:
             return DispatchOutcome()
         self._weights.pop(job_id, None)
-        self._tenant_of.pop(job_id, None)
+        tenant = self._tenant_of.pop(job_id, None)
         self._vtime.pop(job_id, None)
+        if tenant in self._blocked:
+            blocked = self._blocked[tenant]
+            blocked.pop(job_id, None)
+            if not blocked:
+                del self._blocked[tenant]
+        if not self._inflight_by_job.get(job_id):
+            self._inflight_by_job.pop(job_id, None)
         stragglers = [
             record
             for record in queue
@@ -469,14 +495,17 @@ class FairShareDispatchPolicy:
         """Park a registered job's task for fair release; everything
         else (unregistered jobs, retries of slot-holding tasks) launches
         immediately."""
-        if job_id is None or job_id not in self._queues:
+        if job_id is None:
             return DispatchOutcome(launch=[record])
-        if record in self._inflight:
-            # A retry of a task that still holds its slot (executor or
-            # node failure): re-launch without re-charging.
+        queue = self._queues.get(job_id)
+        if queue is None or record in self._inflight:
+            # Unregistered, or a retry of a task that still holds its
+            # slot (executor or node failure): launch without charging.
             return DispatchOutcome(launch=[record])
-        self._queues[job_id].append(record)
-        note = ParkNote(job_id=job_id, queued=len(self._queues[job_id]))
+        if not queue:
+            heapq.heappush(self._heap, (self._vtime[job_id], job_id))
+        queue.append(record)
+        note = ParkNote(job_id=job_id, queued=len(queue))
         outcome = self._pump(ctx)
         outcome.parked = note
         return outcome
@@ -490,39 +519,55 @@ class FairShareDispatchPolicy:
             return DispatchOutcome()
         if self._inflight_by_job.get(job_id, 0) > 0:
             self._inflight_by_job[job_id] -= 1
+            if not self._inflight_by_job[job_id] and job_id not in self._queues:
+                del self._inflight_by_job[job_id]
         tenant = self._tenant_of.get(job_id)
         if tenant is not None and self._inflight_by_tenant.get(tenant, 0) > 0:
             self._inflight_by_tenant[tenant] -= 1
+            if tenant in self._blocked and self._under_cap(tenant):
+                self._unblock(tenant)
         return self._pump(ctx)
 
-    def _eligible(self, job_id: str) -> bool:
-        if not self._queues[job_id]:
-            return False
-        tenant = self._tenant_of.get(job_id)
-        if tenant is None:
-            return True
+    def _under_cap(self, tenant: str) -> bool:
         cap = self._tenant_caps.get(tenant)
         return cap is None or self._inflight_by_tenant[tenant] < cap
+
+    def _unblock(self, tenant: str) -> None:
+        """Put the tenant's blocked jobs back among the candidates."""
+        blocked = self._blocked.pop(tenant, None)
+        if blocked is None:
+            return
+        for job_id in blocked:
+            if self._queues[job_id]:
+                heapq.heappush(self._heap, (self._vtime[job_id], job_id))
 
     def _pump(self, ctx: DispatchContext) -> DispatchOutcome:
         """Release queued tasks while slots remain, smallest virtual
         time first (ties broken by job id for determinism)."""
         launch: List[TaskRecord] = []
         picks: List[str] = []
-        while len(self._inflight) < ctx.total_slots:
-            candidates = [job for job in self._queues if self._eligible(job)]
-            if not candidates:
-                break
-            best = min(candidates, key=lambda job: (self._vtime[job], job))
-            record = self._queues[best].popleft()
+        heap, queues, vtime = self._heap, self._queues, self._vtime
+        while len(self._inflight) < ctx.total_slots and heap:
+            vt, best = heapq.heappop(heap)
+            queue = queues.get(best)
+            if not queue or vtime[best] != vt:
+                continue  # stale: unregistered, drained or advanced
+            tenant = self._tenant_of[best]
+            if tenant is not None and not self._under_cap(tenant):
+                self._blocked.setdefault(tenant, {})[best] = None
+                continue
+            record = queue.popleft()
             if record.phase in (TaskPhase.FINISHED, TaskPhase.FAILED):
                 # Failed while parked (e.g. a lost dependency); drop it.
+                if queue:
+                    heapq.heappush(heap, (vt, best))
                 continue
-            self._vclock = self._vtime[best]
-            self._vtime[best] += 1.0 / self._weights[best]
+            self._vclock = vt
+            vtime[best] = vt + 1.0 / self._weights[best]
+            if queue:
+                heapq.heappush(heap, (vtime[best], best))
             self._inflight[record] = best
-            self._inflight_by_job[best] += 1
-            tenant = self._tenant_of.get(best)
+            self._inflight_by_job[best] = self._inflight_by_job.get(best, 0) + 1
             if tenant is not None:
                 self._inflight_by_tenant[tenant] += 1
             launch.append(record)

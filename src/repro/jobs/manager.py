@@ -25,7 +25,7 @@ sibling jobs keep running.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.chaos.harness import make_inputs, submit_variant
 from repro.common.errors import JobControlError
@@ -35,6 +35,7 @@ from repro.jobs.planner import JobShape, ShufflePlanner
 from repro.jobs.spec import Job, JobSpec, JobState, TenantSpec
 from repro.metrics import Histogram
 from repro.plan import ShuffleExpr, planner_for_runtime
+from repro.simcore import Event
 
 
 #: Pluggable job-runner bodies keyed by mode name.  A runner is called
@@ -161,15 +162,35 @@ class JobManager:
         """
         rt = self.runtime
         live: Dict[str, DriverHandle] = {}
+        # One callback per job, attached at spawn, wakes the current
+        # ``waiter`` in O(1) -- at the same instant and engine step as an
+        # ``any_of`` over every live job's ``done`` would.  ``done_live``
+        # holds live jobs whose ``done`` was processed since the last
+        # reap: a wait that starts with one succeeds at once, as an
+        # ``any_of`` with an already-processed child does.
+        done_live: Set[str] = set()
+        waiter: Optional[Event] = None
+
+        def on_done(job_id: str) -> None:
+            if job_id not in live:
+                return  # already reaped: no later wait includes it
+            done_live.add(job_id)
+            if waiter is not None and not waiter.triggered:
+                waiter.succeed()
+
         while True:
             for job in self.admission.admit_ready():
                 self._admit(job)
-                live[job.job_id] = rt.spawn_driver(
+                handle = rt.spawn_driver(
                     self._run_job,
                     job,
                     name=f"job:{job.job_id}",
                     label=job.job_id,
                 )
+                handle.done.add_callback(
+                    lambda _event, job_id=job.job_id: on_done(job_id)
+                )
+                live[job.job_id] = handle
             if not live:
                 if self.admission.queued_jobs():
                     raise RuntimeError(
@@ -178,9 +199,15 @@ class JobManager:
                 break
             # Sleep until at least one job finishes; _run_job never leaks
             # exceptions, so the completion events always succeed.
-            rt.wait_event(rt.env.any_of([h.done for h in live.values()]))
+            waiter = rt.env.event()
+            if done_live:
+                waiter.succeed()
+            rt.wait_event(waiter)
+            # Reap in spawn order: unregistration and quota release
+            # order feed the simulation.
             for job_id in [jid for jid, h in live.items() if h.finished]:
                 handle = live.pop(job_id)
+                done_live.discard(job_id)
                 job = self.jobs[job_id]
                 rt.join_driver(handle)
                 self.fair.unregister_job(job_id)

@@ -2,6 +2,7 @@
 planning, accounting, and determinism."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from conftest import make_runtime
 
 from repro.chaos import expected_output
@@ -277,3 +278,139 @@ class TestDeterminism:
         _, a = mixed_workload(seed=0, num_jobs=12)
         _, b = mixed_workload(seed=1, num_jobs=12)
         assert [s.name for s in a] != [s.name for s in b]
+
+
+class _SleepJobManager(JobManager):
+    """A manager whose job bodies only sleep: job ``name`` sleeps each
+    duration in ``naps[name]`` in turn, so finish instants are chosen
+    exactly (ties included)."""
+
+    def __init__(self, runtime, naps):
+        super().__init__(runtime)
+        self.naps = naps
+
+    def _run_job(self, job):
+        rt = self.runtime
+        job.state = JobState.RUNNING
+        job.started_at = rt.now
+        for seconds in self.naps[job.spec.name]:
+            rt.sleep(seconds)
+        job.state = JobState.DONE
+        job.finished_at = rt.now
+        return job
+
+
+class _AnyOfSleepJobManager(_SleepJobManager):
+    """Reference wake rule: every wait blocks on an ``any_of`` over the
+    ``done`` events of all live jobs."""
+
+    def drive(self):
+        rt = self.runtime
+        live = {}
+        while True:
+            for job in self.admission.admit_ready():
+                self._admit(job)
+                live[job.job_id] = rt.spawn_driver(
+                    self._run_job, job, name=f"job:{job.job_id}",
+                    label=job.job_id,
+                )
+            if not live:
+                break
+            rt.wait_event(rt.env.any_of([h.done for h in live.values()]))
+            for job_id in [jid for jid, h in live.items() if h.finished]:
+                handle = live.pop(job_id)
+                rt.join_driver(handle)
+                self.fair.unregister_job(job_id)
+                self.admission.release(self.jobs[job_id])
+
+
+def _run_sleep_fleet(naps, concurrency, manager_cls=_SleepJobManager):
+    """Run one tenant's sleeping jobs; return (manager, engine steps, the
+    callbacks each job's ``done`` event held when it was processed)."""
+    rt = make_runtime(num_nodes=1, store_mib=64)
+    manager = manager_cls(rt, naps)
+    manager.add_tenant(TenantSpec(name="t", quota=TenantQuota(
+        max_concurrent_jobs=concurrency, max_queued_jobs=len(naps),
+    )))
+    for name in naps:
+        manager.submit(JobSpec(name=name, tenant="t", variant="simple"))
+    callbacks = {}
+    spawn = rt.spawn_driver
+
+    def spawn_counting(fn, job, **kwargs):
+        handle = spawn(fn, job, **kwargs)
+        done = handle.done
+
+        def process():
+            callbacks[job.spec.name] = len(done.callbacks)
+            type(done)._process_callbacks(done)
+
+        done._process_callbacks = process
+        return handle
+
+    rt.spawn_driver = spawn_counting
+    steps = 0
+    step = rt.env.step
+
+    def counting_step():
+        nonlocal steps
+        steps += 1
+        step()
+
+    rt.env.step = counting_step
+    manager.run()
+    return manager, steps, callbacks
+
+
+class TestManagerWake:
+    #: One long job, then 50 short ones, several finishing at one instant
+    #: (equal naps, and zero-length naps that end at an arrival instant).
+    NAPS = {"long": [100.0]}
+    NAPS.update({
+        f"s{i:02d}": [1.0 + (i // 3) * 0.5] + ([0.0] if i % 4 == 0 else [])
+        for i in range(50)
+    })
+    #: Pinned from the manager that woke on an ``any_of`` over every live
+    #: job's ``done`` (one new callback per live job per wake).
+    STEPS = 160
+    FINISHED = [100.0, 1.0, 1.0, 1.0, 1.5, 1.5, 1.5, 2.0, 3.0, 3.0, 3.5, 4.0,
+                4.0, 4.5, 5.0, 6.0, 6.5, 7.0, 7.5, 8.0, 8.5, 9.0, 10.5, 11.0,
+                11.5, 12.5, 13.0, 13.5, 14.5, 16.0, 16.5, 17.5, 18.5, 19.0,
+                20.0, 21.0, 22.5, 23.5, 24.5, 25.5, 26.5, 27.5, 28.5, 30.5,
+                31.5, 32.5, 34.0, 35.0, 36.0, 37.5, 39.5]
+
+    def test_many_short_jobs_beside_a_long_one(self):
+        manager, steps, callbacks = _run_sleep_fleet(self.NAPS, concurrency=8)
+        jobs = list(manager.jobs.values())
+        assert [job.state for job in jobs] == [JobState.DONE] * 51
+        finished = [job.finished_at for job in jobs]
+        assert len(set(finished)) < len(finished)  # same-instant finishes
+        assert steps == self.STEPS
+        assert finished == self.FINISHED
+        # Each done event carries the manager's one callback plus at most
+        # one reaping join -- not one callback per earlier manager wake.
+        assert len(callbacks) == 51
+        assert max(callbacks.values()) <= 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        naps=st.lists(
+            st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=1, max_size=3),
+            min_size=1, max_size=12,
+        ),
+        concurrency=st.integers(1, 4),
+    )
+    def test_wake_matches_any_of_reference(self, naps, concurrency):
+        """Same engine steps, finish instants and bus events as waking on
+        an ``any_of`` over every live job."""
+        named = {f"j{i:02d}": nap for i, nap in enumerate(naps)}
+        runs = [
+            _run_sleep_fleet(named, concurrency, manager_cls=cls)
+            for cls in (_SleepJobManager, _AnyOfSleepJobManager)
+        ]
+        (new, new_steps, _), (ref, ref_steps, _) = runs
+        assert new_steps == ref_steps
+        assert [j.finished_at for j in new.jobs.values()] == [
+            j.finished_at for j in ref.jobs.values()
+        ]
+        assert new.runtime.bus.events == ref.runtime.bus.events

@@ -52,6 +52,57 @@ def test_store_accounting_invariants_hold_under_any_sequence(steps):
         _check_invariants(store)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from([
+                "alloc", "try_alloc", "free", "pin", "unpin", "demote",
+                "clear",
+            ]),
+            st.integers(min_value=0, max_value=5),
+            st.integers(min_value=1, max_value=300),
+            st.booleans(),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=60,
+    )
+)
+def test_evictable_count_matches_a_recount(steps):
+    """The count of evictable cached copies (non-primary, unpinned) that
+    lets a grant skip the eviction scan stays exact through admits,
+    primary upgrades, pins, unpins, demotions, frees, evictions and
+    clears."""
+    env = Environment()
+    store = ObjectStore(env, NodeId(0), CAPACITY)
+    for op, index, size, primary, pin in steps:
+        oid = ObjectId(index)
+        if op == "alloc":
+            store.allocate(oid, size, primary=primary, pin=pin)
+        elif op == "try_alloc":
+            store.try_allocate(oid, size, primary=primary, pin=pin)
+        elif op == "free":
+            store.free(oid)
+        elif op == "pin":
+            if store.contains(oid):
+                store.pin(oid)
+        elif op == "unpin":
+            store.unpin(oid)
+        elif op == "demote":
+            store.demote_to_cached(oid)
+        elif op == "clear" and pin and primary:
+            store.clear()
+        env.run()
+        recount = sum(
+            1
+            for oid in store.objects()
+            if not store.is_primary(oid) and not store.is_pinned(oid)
+        )
+        assert store._evictable == recount
+        _check_invariants(store)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     sizes=st.lists(st.integers(min_value=1, max_value=300), min_size=1, max_size=30)
