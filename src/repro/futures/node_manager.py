@@ -64,16 +64,7 @@ class NodeManager:
             bus=runtime.bus,
             policy=runtime.policies.memory,
         )
-        self.spill = SpillManager(
-            node,
-            self.store,
-            runtime.directory,
-            runtime.config,
-            runtime.counters,
-            charge=runtime.charge_object,
-            bus=runtime.bus,
-            policy=runtime.policies.spill,
-        )
+        self.spill = SpillManager(node, self.store, runtime)
         # Attach the disaggregated spill tier (None under the default
         # local backend, which keeps seed behaviour byte-for-byte).
         self.spill.shared = runtime.shared_store

@@ -57,14 +57,9 @@ from repro.futures.task import (
     TaskRecord,
     TaskSpec,
 )
-from repro.metrics.core import Counters
 from repro.obs.events import EventBus
-from repro.obs.registry import MetricRegistry
+from repro.obs.registry import UNATTRIBUTED_JOB, MetricRegistry
 from repro.simcore import Environment, Event
-
-#: Per-job accounting bucket for work carrying no job id (plain
-#: single-driver runs, or background restores not tied to any task).
-UNATTRIBUTED_JOB = "<unattributed>"
 
 
 class Runtime:
@@ -84,14 +79,15 @@ class Runtime:
         self.cluster = cluster
         self.config = config or RuntimeConfig()
         self.ids: IdGenerator = cluster.ids
-        self.counters = Counters()
         #: Structured event bus (repro.obs): every subsystem publishes
         #: typed, causally linked events here; exported by the tracer
         #: and the run reporter.
         self.bus = EventBus(clock=lambda: self.env.now)
-        #: Dimensioned metrics (per-node / per-job counters, gauges,
-        #: histograms) fed alongside the flat ``counters``.
+        #: The one metric store: flat counter totals, per-node / per-job
+        #: counter values, gauges, histograms.
         self.metrics = MetricRegistry()
+        #: The flat counter totals (the registry's global values).
+        self.counters = self.metrics.totals
         #: The resolved policy stack (placement, memory, spill, dispatch)
         #: named by the config and instantiated from the registry; the
         #: scheduler and every node manager consult it.
@@ -99,11 +95,6 @@ class Runtime:
         #: Fault tolerance: node-death handling, retry pacing, and
         #: lineage reconstruction (§4.2.3) live here.
         self.lineage = LineageManager(self)
-        #: Per-job counter buckets keyed by job id (multi-tenant control
-        #: plane); every charge path adds to both the global counters and
-        #: the owning job's bucket, so bucket sums equal the global value
-        #: exactly (checked by the chaos invariant checker).
-        self.job_counters: Dict[str, Counters] = {}
         self.payloads: Dict[ObjectId, Any] = {}
         self.directory = ObjectDirectory(on_refcount_zero=self._evict_object)
         self.tasks: Dict[TaskId, TaskRecord] = {}
@@ -208,48 +199,35 @@ class Runtime:
         return ActorClass(self, cls, TaskOptions(**options))
 
     # -- per-job accounting ---------------------------------------------------
-    def job_bucket(self, job_id: Optional[str]) -> Counters:
-        """The per-job counter bucket for ``job_id`` (created on demand);
-        unattributed work lands in the :data:`UNATTRIBUTED_JOB` bucket."""
-        key = job_id if job_id is not None else UNATTRIBUTED_JOB
-        bucket = self.job_counters.get(key)
-        if bucket is None:
-            bucket = self.job_counters[key] = Counters()
-        return bucket
-
     def charge_task(
         self, options: TaskOptions, name: str, amount: float = 1.0
     ) -> None:
-        """Increment a counter globally *and* in the owning job's bucket.
+        """Add to a counter globally and for the task's job (work with
+        no job id counts for :data:`UNATTRIBUTED_JOB`).
 
-        Every task-attributable counter must go through here (not
-        ``self.counters.add``) so per-job buckets sum exactly to the
-        global totals -- the accounting invariant the chaos checker
-        asserts when the jobs layer is active.
+        Every task-attributable counter goes through here, not
+        ``self.counters.add``, so per-job values sum exactly to the
+        global total.
         """
-        self.counters.add(name, amount)
-        self.job_bucket(options.job_id).add(name, amount)
-        key = options.job_id if options.job_id is not None else UNATTRIBUTED_JOB
-        self.metrics.counter(name, amount, job=key)
+        job_id = options.job_id
+        self.metrics.counter(
+            name, amount, job=UNATTRIBUTED_JOB if job_id is None else job_id
+        )
 
     def charge_object(
         self, object_id: ObjectId, name: str, amount: float = 1.0
     ) -> None:
-        """Per-job side of an object-attributed charge (spill bytes).
-
-        The spill manager already adds the global total itself; this maps
-        the object back to its creating task's job and mirrors the amount
-        into that bucket only.
-        """
+        """Add to a counter globally and for the job of the task that
+        created ``object_id`` (spill bytes written and read)."""
         job_id: Optional[str] = None
         creator = self._object_creator.get(object_id)
         if creator is not None:
             record = self.tasks.get(creator)
             if record is not None:
                 job_id = record.spec.options.job_id
-        self.job_bucket(job_id).add(name, amount)
-        key = job_id if job_id is not None else UNATTRIBUTED_JOB
-        self.metrics.counter(name, amount, job=key)
+        self.metrics.counter(
+            name, amount, job=UNATTRIBUTED_JOB if job_id is None else job_id
+        )
 
     # -- submission (driver-side, non-blocking) -----------------------------
     def submit_task(
@@ -976,12 +954,9 @@ class Runtime:
         return out
 
     def job_stats(self) -> Dict[str, Dict[str, float]]:
-        """Per-job counter snapshots keyed by job id (buckets filled by
-        :meth:`charge_task` / :meth:`charge_object`)."""
-        return {
-            job_id: bucket.snapshot()
-            for job_id, bucket in self.job_counters.items()
-        }
+        """Per-job counter values keyed by job id (the registry's job
+        axis, filled by :meth:`charge_task` / :meth:`charge_object`)."""
+        return self.metrics.dimension("job")
 
     def sample_gauges(self) -> None:
         """Sample point-in-time per-node gauges into :attr:`metrics`.

@@ -24,20 +24,16 @@ The liveness fallback stays on the local filesystem under both backends.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.common.ids import NodeId, ObjectId
 from repro.futures.policies.base import SpillCandidate, SpillPolicy
-from repro.futures.policies.defaults import FusedSpillPolicy
-from repro.metrics.core import Counters
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
     from repro.cluster.shared_store import SharedStoreBackend
-    from repro.futures.config import RuntimeConfig
-    from repro.futures.directory import ObjectDirectory
     from repro.futures.object_store import ObjectStore
-    from repro.obs.events import EventBus
+    from repro.futures.runtime import Runtime
 
 
 class SpillFile:
@@ -82,35 +78,24 @@ class SpillManager:
     """Per-node spilling and restore logic."""
 
     def __init__(
-        self,
-        node: "Node",
-        store: "ObjectStore",
-        directory: "ObjectDirectory",
-        config: "RuntimeConfig",
-        counters: Counters,
-        charge: Optional[Callable[[ObjectId, str, float], None]] = None,
-        bus: Optional["EventBus"] = None,
-        policy: Optional[SpillPolicy] = None,
+        self, node: "Node", store: "ObjectStore", runtime: "Runtime"
     ) -> None:
         self.node = node
         self.env = node.env
         self.store = store
-        self.directory = directory
-        self.config = config
-        self.counters = counters
-        #: Victim-selection/batching policy; the default reproduces the
-        #: config-flag behaviour (fusing per ``enable_write_fusing``).
-        self.policy: SpillPolicy = policy or FusedSpillPolicy(
-            fuse_min_bytes=config.fuse_min_bytes,
-            fused=config.enable_write_fusing,
-        )
-        #: Optional structured event bus; spill writes, restore reads,
-        #: and filesystem fallbacks publish begin/end events into it.
-        self.bus = bus
-        #: Optional per-object charge hook ``(object_id, counter, amount)``
-        #: mirroring spill I/O into per-job accounting buckets (the global
-        #: counters above are always charged directly).
-        self.charge = charge
+        #: Spill bytes are charged per object through
+        #: ``runtime.charge_object`` (looked up per charge, so instance
+        #: shadows such as the self-profiler's see them); other spill
+        #: counters go to the flat ``runtime.counters``.
+        self.runtime = runtime
+        self.directory = runtime.directory
+        self.config = runtime.config
+        self.counters = runtime.counters
+        #: Victim-selection/batching policy (the runtime's spill policy).
+        self.policy: SpillPolicy = runtime.policies.spill
+        #: Spill writes, restore reads, and filesystem fallbacks publish
+        #: begin/end events here.
+        self.bus = runtime.bus
         self._file_ids = itertools.count()
         self._slots: Dict[ObjectId, SpillSlot] = {}
         self._in_flight = 0
@@ -196,17 +181,16 @@ class SpillManager:
             self._fallback_if_stuck()
             return
         batches = self.policy.make_batches(victims)
-        if self.bus is not None:
-            self.bus.emit(
-                "policy.decision",
-                node=self.node.node_id,
-                policy=f"spill:{self.policy.name}",
-                decision="spill-victims",
-                candidates=len(candidates),
-                bytes=sum(victim.size for victim in victims),
-                batches=len(batches),
-                last_resort=last_resort,
-            )
+        self.bus.emit(
+            "policy.decision",
+            node=self.node.node_id,
+            policy=f"spill:{self.policy.name}",
+            decision="spill-victims",
+            candidates=len(candidates),
+            bytes=sum(victim.size for victim in victims),
+            batches=len(batches),
+            last_resort=last_resort,
+        )
         for batch in batches:
             self._start_spill([(v.object_id, v.size) for v in batch])
 
@@ -231,21 +215,17 @@ class SpillManager:
         for oid, _size in batch:
             self.store.pin(oid)  # data must stay while being written
         self._in_flight += 1
-        self.counters.add("spill_bytes_written", total)
+        for oid, size in batch:
+            self.runtime.charge_object(oid, "spill_bytes_written", size)
         self.counters.add("spill_files", 1)
         self.counters.add("disk_bytes_written", total)
-        if self.charge is not None:
-            for oid, size in batch:
-                self.charge(oid, "spill_bytes_written", size)
-        begin = None
-        if self.bus is not None:
-            begin = self.bus.emit(
-                "spill.write.begin",
-                node=self.node.node_id,
-                bytes=total,
-                objects=len(batch),
-                file=file.file_id,
-            )
+        begin = self.bus.emit(
+            "spill.write.begin",
+            node=self.node.node_id,
+            bytes=total,
+            objects=len(batch),
+            file=file.file_id,
+        )
         # One sequential write per file; an unfused "file" per object means
         # one seek-bearing operation per object.
         write = self.node.disk.transfer(
@@ -268,22 +248,18 @@ class SpillManager:
         for oid, _size in batch:
             self.store.pin(oid)  # data must stay while being written
         self._in_flight += 1
-        self.counters.add("spill_bytes_written", total)
+        for oid, size in batch:
+            self.runtime.charge_object(oid, "spill_bytes_written", size)
         self.counters.add("spill_files", 1)
         self.counters.add("shared_bytes_written", total)
-        if self.charge is not None:
-            for oid, size in batch:
-                self.charge(oid, "spill_bytes_written", size)
-        begin = None
-        if self.bus is not None:
-            begin = self.bus.emit(
-                "spill.write.begin",
-                node=self.node.node_id,
-                bytes=total,
-                objects=len(batch),
-                file=file_id,
-                backend="shared",
-            )
+        begin = self.bus.emit(
+            "spill.write.begin",
+            node=self.node.node_id,
+            bytes=total,
+            objects=len(batch),
+            file=file_id,
+            backend="shared",
+        )
         write = self.env.all_of(
             [self.node.nic_out.transfer(total), self.shared.write(total)]
         )
@@ -299,14 +275,13 @@ class SpillManager:
     ) -> None:
         for oid, _size in batch:
             self.store.unpin(oid)
-        if self.bus is not None:
-            self.bus.emit(
-                "spill.write.end",
-                node=self.node.node_id,
-                cause=getattr(begin, "seq", None),
-                ok=ok,
-                backend="shared",
-            )
+        self.bus.emit(
+            "spill.write.end",
+            node=self.node.node_id,
+            cause=getattr(begin, "seq", None),
+            ok=ok,
+            backend="shared",
+        )
         if not ok:
             # The NIC died mid-write (node failure); the bytes never
             # reached the tier, the store is being cleared by the death
@@ -338,14 +313,13 @@ class SpillManager:
         # must not start a new spill that re-selects this batch's objects.
         for oid, _size in batch:
             self.store.unpin(oid)
-        if self.bus is not None:
-            self.bus.emit(
-                "spill.write.end",
-                node=self.node.node_id,
-                cause=getattr(begin, "seq", None),
-                ok=ok,
-                file=file.file_id,
-            )
+        self.bus.emit(
+            "spill.write.end",
+            node=self.node.node_id,
+            cause=getattr(begin, "seq", None),
+            ok=ok,
+            file=file.file_id,
+        )
         if not ok:
             # The disk died mid-spill (node failure); the store is being
             # cleared by the death handler, nothing more to do.
@@ -375,13 +349,12 @@ class SpillManager:
             return
         self.counters.add("fallback_allocations", 1)
         self.counters.add("disk_bytes_written", request.size)
-        if self.bus is not None:
-            self.bus.emit(
-                "spill.fallback",
-                node=self.node.node_id,
-                obj=request.object_id,
-                bytes=request.size,
-            )
+        self.bus.emit(
+            "spill.fallback",
+            node=self.node.node_id,
+            obj=request.object_id,
+            bytes=request.size,
+        )
         write = self.node.disk_write(request.size, sequential=True)
 
         def done(event: object) -> None:
@@ -425,30 +398,25 @@ class SpillManager:
         sequential = file.next_index is not None and slot.index == file.next_index
         file.next_index = slot.index + 1
         latency = 0.0 if sequential else None
-        self.counters.add("spill_bytes_read", slot.size)
+        self.runtime.charge_object(object_id, "spill_bytes_read", slot.size)
         self.counters.add("disk_bytes_read", slot.size)
-        if self.charge is not None:
-            self.charge(object_id, "spill_bytes_read", slot.size)
-        begin = None
-        if self.bus is not None:
-            begin = self.bus.emit(
-                "spill.restore.begin",
+        begin = self.bus.emit(
+            "spill.restore.begin",
+            node=self.node.node_id,
+            obj=object_id,
+            bytes=slot.size,
+            sequential=sequential,
+        )
+        read = self.node.disk.transfer(slot.size, latency=latency)
+        begin_seq = getattr(begin, "seq", None)
+        read.add_callback(
+            lambda _event: self.bus.emit(
+                "spill.restore.end",
                 node=self.node.node_id,
                 obj=object_id,
-                bytes=slot.size,
-                sequential=sequential,
+                cause=begin_seq,
             )
-        read = self.node.disk.transfer(slot.size, latency=latency)
-        if self.bus is not None:
-            begin_seq = getattr(begin, "seq", None)
-            read.add_callback(
-                lambda _event: self.bus.emit(
-                    "spill.restore.end",
-                    node=self.node.node_id,
-                    obj=object_id,
-                    cause=begin_seq,
-                )
-            )
+        )
         return read
 
     def shared_restore_read(self, object_id: ObjectId):
@@ -460,33 +428,28 @@ class SpillManager:
         the tier durable against node loss.
         """
         size = self.shared.size_of(object_id)
-        self.counters.add("spill_bytes_read", size)
+        self.runtime.charge_object(object_id, "spill_bytes_read", size)
         self.counters.add("shared_bytes_read", size)
-        if self.charge is not None:
-            self.charge(object_id, "spill_bytes_read", size)
-        begin = None
-        if self.bus is not None:
-            begin = self.bus.emit(
-                "spill.restore.begin",
-                node=self.node.node_id,
-                obj=object_id,
-                bytes=size,
-                backend="shared",
-            )
+        begin = self.bus.emit(
+            "spill.restore.begin",
+            node=self.node.node_id,
+            obj=object_id,
+            bytes=size,
+            backend="shared",
+        )
         read = self.env.all_of(
             [self.node.nic_in.transfer(size), self.shared.read(size)]
         )
-        if self.bus is not None:
-            begin_seq = getattr(begin, "seq", None)
-            read.add_callback(
-                lambda _event: self.bus.emit(
-                    "spill.restore.end",
-                    node=self.node.node_id,
-                    obj=object_id,
-                    cause=begin_seq,
-                    backend="shared",
-                )
+        begin_seq = getattr(begin, "seq", None)
+        read.add_callback(
+            lambda _event: self.bus.emit(
+                "spill.restore.end",
+                node=self.node.node_id,
+                obj=object_id,
+                cause=begin_seq,
+                backend="shared",
             )
+        )
         return read
 
     # -- GC / failure ------------------------------------------------------

@@ -6,15 +6,15 @@
 - jobs are submitted against registered tenants and pass through the
   :class:`~repro.jobs.admission.AdmissionController` (typed rejections,
   bounded queues);
-- admitted jobs register with the runtime's
-  :class:`~repro.futures.FairShareScheduler` (weight = tenant weight x
-  job weight, tenant task-slot caps) and run as labeled cooperative
-  subdrivers, so every task they submit is stamped with their job id and
-  both scheduling and accounting see job boundaries;
+- admitted jobs register with the runtime's fair-share dispatch policy
+  (:class:`~repro.futures.policies.FairShareDispatchPolicy`; weight =
+  tenant weight x job weight, tenant task-slot caps) and run as labeled
+  cooperative subdrivers, so every task they submit is stamped with
+  their job id and both scheduling and accounting see job boundaries;
 - ``variant="auto"`` jobs are resolved by the
   :class:`~repro.jobs.planner.ShufflePlanner` cost model before launch;
-- per-job metrics (queue wait, task-seconds, bytes) accumulate in the
-  runtime's per-job counter buckets and a queue-wait
+- per-job metrics (queue wait, task-seconds, bytes) accumulate on the
+  job axis of the runtime's metric registry and in a queue-wait
   :class:`~repro.metrics.Histogram`.
 
 Job bodies never leak exceptions into the simulation: a failing job is
@@ -29,7 +29,7 @@ from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.chaos.harness import make_inputs, submit_variant
 from repro.common.errors import JobControlError
-from repro.futures import DriverHandle, FairShareScheduler, Runtime
+from repro.futures import DriverHandle, Runtime, Scheduler, create_policy
 from repro.jobs.admission import AdmissionController
 from repro.jobs.planner import JobShape, ShufflePlanner
 from repro.jobs.spec import Job, JobSpec, JobState, TenantSpec
@@ -74,20 +74,21 @@ class JobManager:
         self,
         runtime: Runtime,
         *,
-        slots_per_core: float = 1.0,
         planner: Optional[ShufflePlanner] = None,
     ) -> None:
         self.runtime = runtime
         # Duck-typed: any scheduler whose dispatch policy supports jobs
         # works (e.g. RuntimeConfig(dispatch_policy="fair-share")); a
-        # plain FIFO scheduler is upgraded to fair sharing in place.
-        if getattr(runtime.scheduler, "supports_fair_share", False):
-            self.fair = runtime.scheduler
-        else:
-            self.fair = FairShareScheduler(
-                runtime, slots_per_core=slots_per_core
+        # plain FIFO scheduler is upgraded in place to the registry's
+        # "fair-share" policy (slots per core from the runtime config).
+        if not runtime.scheduler.supports_fair_share:
+            runtime.scheduler = Scheduler(
+                runtime,
+                dispatch_policy=create_policy(
+                    "dispatch", "fair-share", runtime.config
+                ),
             )
-            runtime.scheduler = self.fair
+        self.fair = runtime.scheduler
         self.admission = AdmissionController()
         # The planning surface behind ``variant="auto"``: by default the
         # runtime's shared :class:`repro.plan.AdaptivePlanner` (honouring
@@ -343,19 +344,18 @@ class JobManager:
 
     # -- metrics --------------------------------------------------------------
     def job_metrics(self, job_id: str) -> Dict[str, float]:
-        """One job's counter bucket (task-seconds, bytes, retries, ...)."""
-        bucket = self.runtime.job_counters.get(job_id)
-        return bucket.snapshot() if bucket is not None else {}
+        """One job's counters (task-seconds, bytes, retries, ...)."""
+        return self.runtime.metrics.counters_for("job", job_id)
 
     def tenant_metrics(self) -> Dict[str, Dict[str, float]]:
-        """Counter buckets aggregated per tenant."""
+        """Per-job counters summed per tenant."""
+        by_job = self.runtime.job_stats()
         out: Dict[str, Dict[str, float]] = {}
         for job_id, job in self.jobs.items():
-            bucket = self.runtime.job_counters.get(job_id)
-            if bucket is None:
+            if job_id not in by_job:
                 continue
             agg = out.setdefault(job.spec.tenant, {})
-            for key, value in bucket.snapshot().items():
+            for key, value in by_job[job_id].items():
                 agg[key] = agg.get(key, 0.0) + value
         return out
 

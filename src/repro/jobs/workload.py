@@ -130,7 +130,6 @@ def run_jobs(
     plan: Optional[ChaosPlan] = None,
     *,
     num_nodes: int = 4,
-    slots_per_core: float = 1.0,
     retry_policy: Optional[RetryPolicy] = None,
     config: Optional[RuntimeConfig] = None,
     check_invariants: bool = True,
@@ -147,7 +146,7 @@ def run_jobs(
         config = RuntimeConfig(retry_policy=retry_policy or RetryPolicy())
     rt = Runtime.create(default_node_spec(), num_nodes, config=config)
     injector = ChaosInjector(rt, plan) if plan is not None else None
-    manager = JobManager(rt, slots_per_core=slots_per_core)
+    manager = JobManager(rt)
     for tenant in tenants:
         manager.add_tenant(tenant)
     for spec in specs:

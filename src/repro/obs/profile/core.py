@@ -23,8 +23,9 @@ editing classes and never by the data plane importing this module:
   (``engine.dispatch.task``, ``engine.dispatch.driver``, ...);
 - ``Environment._schedule`` / ``_schedule_callback`` count heap pushes;
 - ``EventBus.emit`` is timed as ``bus.publish``;
-- ``Runtime.charge_task`` / ``charge_object`` and the
-  ``MetricRegistry`` write paths are timed as ``metrics.charge``;
+- ``Runtime.charge_task`` / ``charge_object`` (each one counter write
+  into the ``MetricRegistry``) and the registry's gauge and histogram
+  writes are timed as ``metrics.charge``;
 - the driver host's handoffs (driver Python running between blocking
   calls) are timed as ``driver.exec``.
 
@@ -234,7 +235,7 @@ class SelfProfiler:
             self._scoped(runtime.charge_object, "metrics.charge", "metric_charges"),
         )
         metrics = runtime.metrics
-        for method in ("counter", "gauge_set", "observe"):
+        for method in ("gauge_set", "observe"):
             self._shadow(
                 metrics,
                 method,

@@ -1,31 +1,32 @@
-"""Dimensioned metrics: counters, gauges, and histograms by node and job.
+"""The runtime's one metric store: counters, gauges, and histograms.
 
-The runtime's flat :class:`~repro.metrics.core.Counters` answer "how
-much, in total"; the registry answers "how much, *where* and *for
-whom*".  Every series is a metric name plus an optional ``node`` and/or
-``job`` dimension; writes always update both the dimensioned series and
-the undimensioned global, so per-dimension values sum exactly to the
-global for every populated axis -- the accounting invariant the chaos
-checker's metric-dimension family asserts.
+Counters are kept once.  :attr:`MetricRegistry.totals` holds the flat
+global value of every counter -- ``Runtime.counters`` *is* this object,
+so an unattributed ``counters.add`` stays a single dict update -- and a
+:meth:`MetricRegistry.counter` call with a ``node`` and/or ``job``
+dimension also adds to that dimension's value.  ``Runtime.job_stats()``
+and the jobs layer's per-job metrics read the job axis back
+(:meth:`MetricRegistry.dimension`), so per-job values sum exactly to the
+global for every counter ever charged to a job -- the accounting
+invariant the chaos checker's metric-dimension family asserts.
 
 ``snapshot()`` captures everything as plain nested dicts and
-``delta()`` closes a measurement interval against a previous snapshot,
-which is how the run reporter prints phase-scoped counter movement.
+``delta()`` closes a measurement interval against a previous snapshot.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.metrics.core import Histogram
+from repro.metrics.core import Counters, Histogram
 
 #: The dimension key used for the undimensioned (global) series.
 GLOBAL_DIM = "<all>"
 
-#: Job dimension for work not attributed to any job (mirrors
-#: ``repro.futures.runtime.UNATTRIBUTED_JOB`` without importing it --
-#: the registry must not depend on the runtime).
-UNATTRIBUTED = "<unattributed>"
+#: Job dimension for work carrying no job id (plain single-driver runs,
+#: or background restores not tied to any task).
+UNATTRIBUTED_JOB = "<unattributed>"
 
 _AXES = ("node", "job")
 
@@ -44,8 +45,12 @@ class MetricRegistry:
     """Per-run metric store with node and job dimensions."""
 
     def __init__(self) -> None:
-        # name -> axis ("<all>"/"node"/"job") -> dim value -> number
-        self._counters: Dict[str, Dict[str, Dict[str, float]]] = {}
+        #: Flat global counter totals (``Runtime.counters``).
+        self.totals = Counters()
+        self._totals = self.totals._values  # the same dict, for writes
+        # axis -> dim value -> counter name -> number
+        self._jobs: Dict[str, Dict[str, float]] = {}
+        self._axes = {"node": {}, "job": self._jobs}
         self._gauges: Dict[str, Dict[str, Dict[str, float]]] = {}
         # (name, axis, dim value) -> Histogram
         self._histograms: Dict[Tuple[str, str, str], Histogram] = {}
@@ -59,30 +64,50 @@ class MetricRegistry:
         node: Any = None,
         job: Optional[str] = None,
     ) -> None:
-        """Add to a monotonic counter, charging the global series and
-        every populated dimension axis in lockstep."""
-        series = self._counters.setdefault(name, {})
-        series.setdefault(GLOBAL_DIM, {}).setdefault(GLOBAL_DIM, 0.0)
-        series[GLOBAL_DIM][GLOBAL_DIM] += amount
-        for axis, value in _dims(node, job):
-            bucket = series.setdefault(axis, {})
-            bucket[value] = bucket.get(value, 0.0) + amount
+        """Add to a monotonic counter: the global total and, when given,
+        the node's and the job's value (job ids are strings)."""
+        self._totals[name] += amount
+        if job is not None:
+            values = self._jobs.get(job)
+            if values is None:
+                values = self._jobs[job] = defaultdict(float)
+            values[name] += amount
+        if node is not None:
+            nodes = self._axes["node"]
+            key = str(node)
+            if key not in nodes:
+                nodes[key] = defaultdict(float)
+            nodes[key][name] += amount
 
     def counter_total(self, name: str) -> float:
         """The global value of a counter (0 if never touched)."""
-        return self._counters.get(name, {}).get(GLOBAL_DIM, {}).get(
-            GLOBAL_DIM, 0.0
-        )
+        return self.totals.get(name)
 
     def counter_by(self, name: str, axis: str) -> Dict[str, float]:
-        """One axis of a counter (``"node"`` or ``"job"``) as a dict."""
-        if axis not in _AXES:
-            raise ValueError(f"unknown axis {axis!r}; expected one of {_AXES}")
-        return dict(self._counters.get(name, {}).get(axis, {}))
+        """One counter along one axis (``"node"`` or ``"job"``):
+        dim value -> number, for the dim values that charged it."""
+        return {
+            dim: values[name]
+            for dim, values in self._axis(axis).items()
+            if name in values
+        }
+
+    def dimension(self, axis: str) -> Dict[str, Dict[str, float]]:
+        """Every counter along one axis: dim value -> name -> number."""
+        return {dim: dict(values) for dim, values in self._axis(axis).items()}
+
+    def counters_for(self, axis: str, value: Any) -> Dict[str, float]:
+        """Every counter charged to one dim value ({} if none)."""
+        return dict(self._axis(axis).get(str(value), {}))
 
     def counter_names(self) -> List[str]:
         """Every counter name ever written, sorted."""
-        return sorted(self._counters)
+        return sorted(self._totals)
+
+    def _axis(self, axis: str) -> Dict[str, Dict[str, float]]:
+        if axis not in _AXES:
+            raise ValueError(f"unknown axis {axis!r}; expected one of {_AXES}")
+        return self._axes[axis]
 
     # -- gauges --------------------------------------------------------------
     def gauge_set(
@@ -152,12 +177,19 @@ class MetricRegistry:
 
     # -- snapshot / delta ------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
-        """Everything as nested plain dicts (JSON-serialisable)."""
+        """Everything as nested plain dicts (JSON-serialisable); counters
+        and gauges read name -> axis -> dim value -> number, the global
+        under ``GLOBAL_DIM`` on both levels."""
+        counters = {
+            name: {GLOBAL_DIM: {GLOBAL_DIM: total}}
+            for name, total in self._totals.items()
+        }
+        for axis, dims in self._axes.items():
+            for dim, values in dims.items():
+                for name, value in values.items():
+                    counters[name].setdefault(axis, {})[dim] = value
         return {
-            "counters": {
-                name: {axis: dict(vals) for axis, vals in series.items()}
-                for name, series in self._counters.items()
-            },
+            "counters": counters,
             "gauges": {
                 name: {axis: dict(vals) for axis, vals in series.items()}
                 for name, series in self._gauges.items()
@@ -176,7 +208,7 @@ class MetricRegistry:
         """
         prev = previous.get("counters", {})
         out: Dict[str, Dict[str, Dict[str, float]]] = {}
-        for name, series in self._counters.items():
+        for name, series in self.snapshot()["counters"].items():
             for axis, values in series.items():
                 for dim, value in values.items():
                     before = prev.get(name, {}).get(axis, {}).get(dim, 0.0)
@@ -187,6 +219,6 @@ class MetricRegistry:
 
     def __repr__(self) -> str:
         return (
-            f"<MetricRegistry counters={len(self._counters)} "
+            f"<MetricRegistry counters={len(self._totals)} "
             f"gauges={len(self._gauges)} histograms={len(self._histograms)}>"
         )

@@ -19,7 +19,8 @@ chain.  See ``docs/planner.md``.
 
 Layering: this package consumes profiles and obs *events* only -- it
 never imports the futures runtime, and the shuffle variants never
-import it (``tools/check_layering.py check_plan_isolation``).
+import it (the ``plan`` and ``plan-callers`` rows of
+``tools/check_layering.py``).
 """
 
 from repro.plan.adaptive import AdaptivePlanner, PlanSignals, planner_for_runtime

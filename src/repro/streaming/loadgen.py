@@ -159,7 +159,6 @@ def run_open_loop(
     tenants: List[TenantSpec],
     *,
     num_nodes: int = 4,
-    slots_per_core: float = 1.0,
     config: Optional[RuntimeConfig] = None,
     runtime: Optional[Runtime] = None,
 ) -> OpenLoopReport:
@@ -174,7 +173,7 @@ def run_open_loop(
         rt = Runtime.create(
             streaming_node_spec(), num_nodes, config=config or RuntimeConfig()
         )
-    manager = JobManager(rt, slots_per_core=slots_per_core)
+    manager = JobManager(rt)
     for tenant in tenants:
         manager.add_tenant(tenant)
     for spec in specs:

@@ -121,7 +121,7 @@ REQUIRED_DOCS = {
             'replan="on"',
             'variant="auto"',
             "bit-for-bit",
-            "check_plan_isolation",
+            "plan-callers",
         ],
         ["data_plane.md", "jobs.md", "streaming.md", "observability.md"],
     ),

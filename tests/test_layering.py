@@ -1,7 +1,7 @@
-"""The layering lint: the policy plane must not import mechanism.
+"""The layering lint: the import boundaries between the planes.
 
 Runs ``tools/check_layering.py`` (the CI step) over the real tree, then
-over synthetic violations to prove the lint actually bites.
+over synthetic violations to prove each rule of its table bites.
 """
 
 import importlib.util
@@ -21,15 +21,26 @@ def _lint():
     return module
 
 
+def _tree(tmp_path, *packages):
+    """A synthetic ``src/repro`` tree holding empty ``packages``."""
+    src_root = tmp_path / "src" / "repro"
+    for pkg in packages:
+        (src_root / pkg).mkdir(parents=True)
+        (src_root / pkg / "__init__.py").write_text("")
+    (src_root / "__init__.py").write_text("")
+    return src_root
+
+
 def test_policy_plane_is_mechanism_free():
     lint = _lint()
-    violations = lint.check_tree(REPO / "src" / "repro" / "futures" / "policies")
+    violations = lint.check(REPO / "src" / "repro", "policy")
     assert violations == []
 
 
 def test_lint_catches_mechanism_imports(tmp_path):
     lint = _lint()
-    bad = tmp_path / "rogue.py"
+    src_root = _tree(tmp_path, "futures/policies")
+    bad = src_root / "futures" / "policies" / "rogue.py"
     bad.write_text(
         textwrap.dedent(
             """
@@ -42,7 +53,7 @@ def test_lint_catches_mechanism_imports(tmp_path):
             """
         )
     )
-    violations = lint.check_tree(tmp_path)
+    violations = lint.check(src_root, "policy")
     offending = [v.split("imports ")[1].split(" ")[0] for v in violations]
     assert offending == ["'repro.futures.runtime'", "'repro.futures'",
                         "'repro.simcore'"]
@@ -57,7 +68,9 @@ def test_registry_covers_every_policy_kind():
 
 def test_registry_coverage_catches_missing_kind(tmp_path):
     lint = _lint()
-    (tmp_path / "registry.py").write_text(
+    src_root = _tree(tmp_path, "futures/policies")
+    policies = src_root / "futures" / "policies"
+    (policies / "registry.py").write_text(
         textwrap.dedent(
             """
             POLICY_KINDS = ("placement", "autoscale")
@@ -67,16 +80,16 @@ def test_registry_coverage_catches_missing_kind(tmp_path):
             """
         )
     )
-    violations = lint.check_registry_coverage(tmp_path)
+    violations = lint.check_registry_coverage(policies)
     assert len(violations) == 1 and "'autoscale'" in violations[0]
     # A tree with a registry.py gets the coverage check from main() too.
-    assert lint.main([str(tmp_path)]) == 1
+    assert lint.main([str(src_root)]) == 1
 
 
 def test_streaming_tier_is_not_imported_by_the_core():
     """Nothing in the data-plane core imports ``repro.streaming``."""
     lint = _lint()
-    violations = lint.check_streaming_isolation(REPO / "src" / "repro")
+    violations = lint.check(REPO / "src" / "repro", "streaming")
     assert violations == []
 
 
@@ -84,11 +97,7 @@ def test_streaming_isolation_catches_core_imports(tmp_path):
     """A synthetic core module importing the tier is flagged; the tier
     itself and the aggregation app stay exempt."""
     lint = _lint()
-    src_root = tmp_path / "src" / "repro"
-    for pkg in ("futures", "streaming", "aggregation"):
-        (src_root / pkg).mkdir(parents=True)
-        (src_root / pkg / "__init__.py").write_text("")
-    (src_root / "__init__.py").write_text("")
+    src_root = _tree(tmp_path, "futures", "streaming", "aggregation")
     (src_root / "futures" / "rogue.py").write_text(
         textwrap.dedent(
             """
@@ -104,7 +113,7 @@ def test_streaming_isolation_catches_core_imports(tmp_path):
     (src_root / "aggregation" / "app.py").write_text(
         "from repro.streaming.rounds import drive_rounds\n"
     )
-    violations = lint.check_streaming_isolation(src_root)
+    violations = lint.check(src_root, "streaming")
     assert len(violations) == 2
     assert all("rogue.py" in v for v in violations)
 
@@ -113,7 +122,7 @@ def test_live_ops_plane_is_not_imported_by_the_data_plane():
     """``repro.futures`` / ``repro.simcore`` / ``repro.shuffle`` never
     import ``repro.obs.live`` -- the observer stays optional."""
     lint = _lint()
-    violations = lint.check_live_isolation(REPO / "src" / "repro")
+    violations = lint.check(REPO / "src" / "repro", "live")
     assert violations == []
 
 
@@ -121,11 +130,7 @@ def test_live_isolation_catches_data_plane_imports(tmp_path):
     """A synthetic data-plane module importing the live tier is
     flagged; the obs package itself stays exempt."""
     lint = _lint()
-    src_root = tmp_path / "src" / "repro"
-    for pkg in ("futures", "obs"):
-        (src_root / pkg).mkdir(parents=True)
-        (src_root / pkg / "__init__.py").write_text("")
-    (src_root / "__init__.py").write_text("")
+    src_root = _tree(tmp_path, "futures", "obs")
     (src_root / "futures" / "rogue.py").write_text(
         textwrap.dedent(
             """
@@ -139,7 +144,7 @@ def test_live_isolation_catches_data_plane_imports(tmp_path):
     (src_root / "obs" / "cli.py").write_text(
         "from repro.obs.live import LiveDashboard\n"
     )
-    violations = lint.check_live_isolation(src_root)
+    violations = lint.check(src_root, "live")
     assert len(violations) == 2
     assert all("rogue.py" in v for v in violations)
     assert all("attach_sampler" in v for v in violations)
@@ -147,12 +152,12 @@ def test_live_isolation_catches_data_plane_imports(tmp_path):
 
 def test_lint_main_exit_codes(tmp_path, capsys):
     lint = _lint()
-    clean = tmp_path / "clean"
-    clean.mkdir()
+    src_root = _tree(tmp_path, "futures/policies")
+    clean = src_root / "futures" / "policies"
     (clean / "ok.py").write_text("from repro.common.ids import NodeId\n")
-    assert lint.main([str(clean)]) == 0
+    assert lint.main([str(src_root)]) == 0
     (clean / "bad.py").write_text("from repro.futures.scheduler import Scheduler\n")
-    assert lint.main([str(clean)]) == 1
+    assert lint.main([str(src_root)]) == 1
     assert lint.main([str(tmp_path / "missing")]) == 2
     capsys.readouterr()
 
@@ -163,7 +168,7 @@ def test_self_profiler_is_not_imported_by_the_observed_planes():
     profiler observes by instance shadowing, so the observed planes
     must stay profiler-free (zero cost when off)."""
     lint = _lint()
-    violations = lint.check_profile_isolation(REPO / "src" / "repro")
+    violations = lint.check(REPO / "src" / "repro", "profile")
     assert violations == []
 
 
@@ -172,7 +177,7 @@ def test_plan_layer_isolation_holds_in_the_real_tree():
     layer (futures / simcore / cluster / shuffle, minus the legacy
     ``shuffle.select`` wrapper) imports ``repro.plan``."""
     lint = _lint()
-    violations = lint.check_plan_isolation(REPO / "src" / "repro")
+    violations = lint.check(REPO / "src" / "repro", "plan", "plan-callers")
     assert violations == []
 
 
@@ -181,11 +186,7 @@ def test_plan_isolation_catches_both_directions(tmp_path):
     a shuffle variant importing the planner; ``shuffle.select`` and the
     call-site layers (jobs, dataframe) stay exempt."""
     lint = _lint()
-    src_root = tmp_path / "src" / "repro"
-    for pkg in ("plan", "shuffle", "jobs"):
-        (src_root / pkg).mkdir(parents=True)
-        (src_root / pkg / "__init__.py").write_text("")
-    (src_root / "__init__.py").write_text("")
+    src_root = _tree(tmp_path, "plan", "shuffle", "jobs")
     (src_root / "plan" / "rogue.py").write_text(
         textwrap.dedent(
             """
@@ -206,7 +207,7 @@ def test_plan_isolation_catches_both_directions(tmp_path):
     (src_root / "jobs" / "manager.py").write_text(
         "from repro.plan import planner_for_runtime\n"
     )
-    violations = lint.check_plan_isolation(src_root)
+    violations = lint.check(src_root, "plan", "plan-callers")
     assert len(violations) == 3
     assert sum("rogue.py" in v for v in violations) == 2
     assert sum("push.py" in v for v in violations) == 1
@@ -216,11 +217,7 @@ def test_profile_isolation_catches_observed_plane_imports(tmp_path):
     """A synthetic simcore module importing the profiler is flagged;
     the obs package (and the bench harness outside src/) stays exempt."""
     lint = _lint()
-    src_root = tmp_path / "src" / "repro"
-    for pkg in ("simcore", "cluster", "obs"):
-        (src_root / pkg).mkdir(parents=True)
-        (src_root / pkg / "__init__.py").write_text("")
-    (src_root / "__init__.py").write_text("")
+    src_root = _tree(tmp_path, "simcore", "cluster", "obs")
     (src_root / "simcore" / "rogue.py").write_text(
         textwrap.dedent(
             """
@@ -236,7 +233,7 @@ def test_profile_isolation_catches_observed_plane_imports(tmp_path):
     (src_root / "obs" / "cli.py").write_text(
         "from repro.obs.profile import SelfProfiler\n"
     )
-    violations = lint.check_profile_isolation(src_root)
+    violations = lint.check(src_root, "profile")
     assert len(violations) == 3
     assert all("rogue.py" in v for v in violations)
     assert all("self_profiler" in v for v in violations)

@@ -205,9 +205,11 @@ class TestMetricDimensions:
 
     def test_invariant_family_catches_lockstep_drift(self):
         rt = _chain_runtime()
-        name = rt.metrics.counter_names()[0]
-        # Corrupt one dimension bucket behind the registry's back.
-        rt.metrics._counters[name]["job"] = {"rogue": 123.0}
+        name = "tasks_finished"
+        assert name in rt.metrics.counter_names()
+        # An unattributed add to a job-charged counter (a call site
+        # bypassing Runtime.charge_task) breaks the per-job sum.
+        rt.counters.add(name, 123.0)
         violations = [
             v for v in InvariantChecker(rt).check() if v.startswith("metric")
         ]

@@ -25,7 +25,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common.units import MB
+from repro.common.units import MB, MIB
+from repro.futures import Runtime
 from repro.obs.events import EventBus
 from repro.obs.perf.diff import (
     TRAJECTORY_FIELDS,
@@ -189,7 +190,7 @@ def test_detach_restores_pristine_methods():
     assert "emit" not in vars(rt.bus)
     assert "charge_task" not in vars(rt)
     assert "charge_object" not in vars(rt)
-    assert "counter" not in vars(rt.metrics)
+    assert "observe" not in vars(rt.metrics)
     prof.detach()  # idempotent
 
 
@@ -304,6 +305,52 @@ def test_throughput_and_counters():
     assert payload["coverage_error"] < 0.01
     assert set(payload["categories"]) == set(payload["fractions"])
     assert sum(payload["fractions"].values()) == pytest.approx(1.0, abs=0.02)
+
+
+def _spill_job(rt, chunks):
+    produce = rt.remote(lambda: bytes(MIB), compute=0.01)
+    return len(rt.get([produce.remote() for _ in range(chunks)]))
+
+
+def test_spill_charges_land_in_the_metrics_scope(monkeypatch):
+    """Spill bytes are charged per object while the spill manager runs;
+    with a profiler attached every charge -- spill ones included -- runs
+    inside the ``metrics.charge`` scope and counts once in
+    ``metric_charges``."""
+    calls = []
+
+    def spy_on(name):
+        original = getattr(Runtime, name)
+
+        def spy(self, *args, **kwargs):
+            stack = prof._stack
+            calls.append(
+                (name, args[1], bool(stack) and stack[-1][0] == "metrics.charge")
+            )
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Runtime, name, spy)
+
+    spy_on("charge_task")
+    spy_on("charge_object")
+    rt = make_runtime(num_nodes=2, store_mib=4)
+    prof = SelfProfiler()
+    prof.attach(rt)
+
+    def driver():
+        handles = [
+            rt.spawn_driver(_spill_job, rt, 10, name=label, label=label)
+            for label in ("a", "b")
+        ]
+        return [rt.join_driver(handle) for handle in handles]
+
+    assert rt.run(driver) == [10, 10]
+    rt.env.run()
+    prof.finish()
+    spill = [c for c in calls if c[1].startswith("spill_bytes_")]
+    assert {c[1] for c in spill} == {"spill_bytes_written", "spill_bytes_read"}
+    assert [c for c in calls if not c[2]] == []
+    assert prof.counts["metric_charges"] == len(calls)
 
 
 def test_tracemalloc_counters_are_opt_in():

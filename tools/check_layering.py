@@ -1,30 +1,29 @@
 #!/usr/bin/env python
-"""Layering lint: the policy plane must stay mechanism-free, and the
-streaming tier must stay optional.
+"""Layering lint: the import boundaries between the planes of ``repro``.
 
-``repro.futures.policies`` holds pure decision rules; the refactor that
-extracted them is only worth keeping if they *stay* extracted.  This
-tool walks every module under ``src/repro/futures/policies`` with
-:mod:`ast` and reports any import that is not
+Every boundary is one row of :data:`RULES`: the modules it applies to,
+the import prefixes it forbids -- or, for a pure layer, the only
+``repro`` prefixes it allows -- any exempt modules, and the reason the
+message shows.  One :mod:`ast` walker checks every module under the
+source tree against every row; only absolute imports are checked
+(relative ones stay inside their package).  The rows:
 
-- the Python standard library,
-- ``repro.common`` (ids, errors, rng, units -- value types and helpers),
-- ``repro.futures.task`` / ``repro.futures.refs`` (task/ref value types),
-- the policies package itself (absolute or relative).
+- ``policy`` -- ``repro.futures.policies`` holds pure decision rules and
+  may import only value types (``repro.common``, task/ref types) and
+  itself; policies receive frozen views, never live runtime state.
+- ``streaming`` -- the core must work with the optional streaming tier
+  absent; only the tier and the applications built on it import it.
+- ``live`` / ``profile`` -- the live ops plane and the self-profiler
+  observe the data plane from outside (``attach_sampler``, instance
+  shadowing through the ``self_profiler`` slot), so the observed planes
+  never import them: zero cost when off, which the golden digests pin.
+- ``plan`` / ``plan-callers`` -- the planner is a pure lowering library
+  over value types, and the mechanisms it chooses between never import
+  it (``repro.shuffle.select``, the legacy wrapper, excepted).
 
-In particular ``Runtime``, ``NodeManager``, ``ObjectStore``,
-``Scheduler``, and ``repro.simcore`` are mechanism layers and must
-never be imported here -- policies receive frozen view dataclasses, not
-live runtime state.
-
-The second check runs in the opposite direction: ``repro.streaming``
-may depend on the jobs/futures/obs planes, but *nothing in the
-data-plane core* may import ``repro.streaming`` -- only the
-applications that explicitly build on the tier
-(:data:`STREAMING_IMPORTERS`) may.  A core module importing the tier
-would make it load-bearing in batch-only runs, breaking the
-zero-cost-when-off contract the golden digest tests pin.  Run as
-``python tools/check_layering.py`` (CI does; nonzero exit on
+:func:`check_registry_coverage` additionally requires every declared
+policy kind to have a registered built-in.  Run as
+``python tools/check_layering.py [SRC_ROOT]`` (CI does; nonzero exit on
 violation).
 """
 
@@ -33,129 +32,131 @@ from __future__ import annotations
 import ast
 import sys
 from pathlib import Path
-from typing import List
+from typing import List, NamedTuple, Optional, Tuple
 
-#: Import prefixes the policy plane may use, besides the stdlib and
-#: its own (relative) modules.
-ALLOWED_PREFIXES = (
-    "repro.common",
-    "repro.futures.task",
-    "repro.futures.refs",
-    "repro.futures.policies",
-)
-
-#: The default tree to check, relative to the repo root.
-DEFAULT_ROOT = Path("src") / "repro" / "futures" / "policies"
-
-#: The whole source tree, walked by the streaming-isolation check.
+#: The source tree checked by default, relative to the repo root.
 SRC_ROOT = Path("src") / "repro"
 
-#: Packages allowed to import ``repro.streaming``: the tier itself and
-#: the applications explicitly re-based on it.  Everything else under
-#: ``src/repro`` -- futures, cluster, shuffle, jobs, obs, chaos, ... --
-#: is data-plane core or control plane and must work with the tier
-#: absent.
-STREAMING_IMPORTERS = (
-    "repro.streaming",
-    "repro.aggregation",
+#: The observed planes: data plane, simulator core, shuffle, fabric.
+_OBSERVED = ("repro.futures", "repro.simcore", "repro.shuffle", "repro.cluster")
+
+
+class Rule(NamedTuple):
+    """One import boundary."""
+
+    name: str
+    #: Modules (package prefixes) the rule applies to.
+    scope: Tuple[str, ...]
+    #: Why, shown in each violation message.
+    reason: str
+    #: Import prefixes modules in scope must not import.
+    forbidden: Tuple[str, ...] = ()
+    #: If set, the only ``repro`` import prefixes allowed in scope.
+    allowed: Optional[Tuple[str, ...]] = None
+    #: Modules in scope the rule does not apply to.
+    exempt: Tuple[str, ...] = ()
+
+
+RULES: Tuple[Rule, ...] = (
+    Rule(
+        "policy",
+        scope=("repro.futures.policies",),
+        allowed=(
+            "repro.common",
+            "repro.futures.task",
+            "repro.futures.refs",
+            "repro.futures.policies",
+        ),
+        reason="the policy plane is mechanism-free",
+    ),
+    Rule(
+        "streaming",
+        scope=("repro",),
+        forbidden=("repro.streaming",),
+        exempt=("repro.streaming", "repro.aggregation"),
+        reason="only the tier and the applications built on it may import "
+        "the streaming tier; the core must stay streaming-free",
+    ),
+    Rule(
+        "live",
+        scope=("repro.futures", "repro.simcore", "repro.shuffle"),
+        forbidden=("repro.obs.live",),
+        reason="the data plane must not depend on the live ops plane; use "
+        "the duck-typed attach_sampler hook",
+    ),
+    Rule(
+        "profile",
+        scope=_OBSERVED,
+        forbidden=("repro.obs.profile",),
+        reason="the observed planes must not depend on the self-profiler; "
+        "it attaches by instance shadowing via the duck-typed "
+        "self_profiler slot",
+    ),
+    Rule(
+        "plan",
+        scope=("repro.plan",),
+        allowed=("repro.common", "repro.plan"),
+        reason="repro.plan is a pure lowering library",
+    ),
+    Rule(
+        "plan-callers",
+        scope=_OBSERVED,
+        forbidden=("repro.plan",),
+        exempt=("repro.shuffle.select",),
+        reason="mechanism layers must not depend on the planning layer; "
+        "only repro.shuffle.select may, as the legacy wrapper",
+    ),
 )
 
-#: Data-plane packages that must never import the live ops plane.  The
-#: live tier (``repro.obs.live``) is a pure *consumer* of the event bus:
-#: the runtime exposes only the duck-typed ``Runtime.attach_sampler``
-#: hook, so dashboards and samplers can be deleted without touching the
-#: data plane.  A data-plane import of the live package would invert
-#: that arrow and make telemetry rendering load-bearing.
-DATA_PLANE_PACKAGES = (
-    "repro.futures",
-    "repro.simcore",
-    "repro.shuffle",
-)
 
-#: Packages that must never import the self-profiling tier
-#: (``repro.obs.profile``).  The profiler observes the engine by
-#: shadowing methods on *instances* at attach time and restoring them
-#: on detach; the data plane's only contact is the duck-typed
-#: ``Runtime.self_profiler`` slot.  An import in either the data plane
-#: or the cluster fabric would make the observer load-bearing and
-#: break the zero-cost-when-off contract the golden digests pin.
-PROFILE_FORBIDDEN_PACKAGES = (
-    "repro.futures",
-    "repro.simcore",
-    "repro.shuffle",
-    "repro.cluster",
-)
-
-#: Import prefixes the planning layer (``repro.plan``) may use besides
-#: the stdlib: value-type helpers and itself.  The planner is a *pure*
-#: lowering library -- it sees the cluster only through duck-typed
-#: profile snapshots (``ClusterProfile.from_runtime``) and the event
-#: stream, never through runtime internals, so plans stay computable
-#: offline from a recorded profile.
-PLAN_ALLOWED_PREFIXES = (
-    "repro.common",
-    "repro.plan",
-)
-
-#: Packages that must never import ``repro.plan``: the mechanism layers
-#: the planner chooses *between*.  A shuffle variant importing the
-#: planner (or the futures runtime importing it for its duck-typed
-#: ``Runtime.planner`` slot) would create a cycle where the mechanism
-#: depends on the policy that selects it.  ``repro.shuffle.select`` is
-#: the one exemption: it *is* the legacy selection surface, kept as a
-#: thin re-export wrapper over the plan layer.
-PLAN_FORBIDDEN_IMPORTERS = (
-    "repro.futures",
-    "repro.simcore",
-    "repro.cluster",
-    "repro.shuffle",
-)
-
-#: The single module under a forbidden package allowed to import
-#: ``repro.plan`` (the legacy wrapper).
-PLAN_IMPORT_EXEMPT = ("repro.shuffle.select",)
+def _under(module: str, prefixes: Tuple[str, ...]) -> bool:
+    return any(module == p or module.startswith(p + ".") for p in prefixes)
 
 
-def _allowed(module: str) -> bool:
-    """Is an absolute import target acceptable inside the policy plane?"""
-    if not module.startswith("repro"):
-        return True  # stdlib (third-party deps would fail import anyway)
-    return any(
-        module == prefix or module.startswith(prefix + ".")
-        for prefix in ALLOWED_PREFIXES
-    )
+def _breaks(rule: Rule, target: str) -> bool:
+    if rule.allowed is not None:
+        return _under(target, ("repro",)) and not _under(target, rule.allowed)
+    return _under(target, rule.forbidden)
 
 
-def check_file(path: Path) -> List[str]:
-    """Violation messages (``file:line: import``) for one module."""
-    tree = ast.parse(path.read_text(), filename=str(path))
+def _module_name(path: Path, src_root: Path) -> str:
+    """Dotted module name of ``path`` relative to ``src_root``'s parent
+    (``src/repro/streaming/job.py`` -> ``repro.streaming.job``)."""
+    parts = list(path.relative_to(src_root.parent).with_suffix("").parts)
+    if parts and parts[-1] == "__init__":
+        parts = parts[:-1]
+    return ".".join(parts)
+
+
+def check(src_root: Path, *names: str) -> List[str]:
+    """Violations (``file:line: imports 'x' (rule: reason)``) of the
+    rules named (all of :data:`RULES` when none are) under ``src_root``."""
+    rules = [rule for rule in RULES if not names or rule.name in names]
     violations: List[str] = []
-
-    def offend(node: ast.stmt, module: str) -> None:
-        violations.append(
-            f"{path}:{node.lineno}: imports {module!r} "
-            f"(policy plane may only import {', '.join(ALLOWED_PREFIXES)})"
-        )
-
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if not _allowed(alias.name):
-                    offend(node, alias.name)
-        elif isinstance(node, ast.ImportFrom):
-            if node.level > 0:
-                continue  # relative: stays inside the policies package
-            module = node.module or ""
-            if not _allowed(module):
-                offend(node, module)
-    return violations
-
-
-def check_tree(root: Path) -> List[str]:
-    """All violations under ``root`` (sorted for stable output)."""
-    violations: List[str] = []
-    for path in sorted(root.rglob("*.py")):
-        violations.extend(check_file(path))
+    for path in sorted(src_root.rglob("*.py")):
+        module = _module_name(path, src_root)
+        active = [
+            rule
+            for rule in rules
+            if _under(module, rule.scope) and not _under(module, rule.exempt)
+        ]
+        if not active:
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                targets = [node.module or ""]
+            else:
+                continue
+            for target in targets:
+                for rule in active:
+                    if _breaks(rule, target):
+                        violations.append(
+                            f"{path}:{node.lineno}: imports {target!r} "
+                            f"({rule.name}: {rule.reason})"
+                        )
     return violations
 
 
@@ -213,208 +214,25 @@ def check_registry_coverage(root: Path) -> List[str]:
     ]
 
 
-def _module_name(path: Path, src_root: Path) -> str:
-    """Dotted module name of ``path`` relative to ``src_root``'s parent
-    (``src/repro/streaming/job.py`` -> ``repro.streaming.job``)."""
-    relative = path.relative_to(src_root.parent)
-    parts = list(relative.with_suffix("").parts)
-    if parts and parts[-1] == "__init__":
-        parts = parts[:-1]
-    return ".".join(parts)
-
-
-def check_streaming_isolation(src_root: Path) -> List[str]:
-    """Core modules that import the optional streaming tier.
-
-    Walks every module under ``src_root`` and flags any import of
-    ``repro.streaming`` from a module outside
-    :data:`STREAMING_IMPORTERS` -- the reverse direction of the policy
-    check: the tier may see the core, the core must never see the tier.
-    """
-    violations: List[str] = []
-    for path in sorted(src_root.rglob("*.py")):
-        module = _module_name(path, src_root)
-        if any(
-            module == pkg or module.startswith(pkg + ".")
-            for pkg in STREAMING_IMPORTERS
-        ):
-            continue
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
-            targets: List[str] = []
-            if isinstance(node, ast.Import):
-                targets = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                targets = [node.module or ""]
-            for target in targets:
-                if target == "repro.streaming" or target.startswith(
-                    "repro.streaming."
-                ):
-                    violations.append(
-                        f"{path}:{node.lineno}: imports {target!r} "
-                        f"(only {', '.join(STREAMING_IMPORTERS)} may import "
-                        f"the streaming tier; the core must stay "
-                        f"streaming-free)"
-                    )
-    return violations
-
-
-def check_live_isolation(src_root: Path) -> List[str]:
-    """Data-plane modules that import the live ops plane.
-
-    Walks every module under the :data:`DATA_PLANE_PACKAGES` trees and
-    flags any import of ``repro.obs.live`` -- the observer must never
-    become a dependency of the observed: the data plane publishes to
-    the bus and exposes the duck-typed ``attach_sampler`` hook, nothing
-    more.
-    """
-    violations: List[str] = []
-    for path in sorted(src_root.rglob("*.py")):
-        module = _module_name(path, src_root)
-        if not any(
-            module == pkg or module.startswith(pkg + ".")
-            for pkg in DATA_PLANE_PACKAGES
-        ):
-            continue
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
-            targets: List[str] = []
-            if isinstance(node, ast.Import):
-                targets = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                targets = [node.module or ""]
-            for target in targets:
-                if target == "repro.obs.live" or target.startswith(
-                    "repro.obs.live."
-                ):
-                    violations.append(
-                        f"{path}:{node.lineno}: imports {target!r} "
-                        f"(the data plane -- "
-                        f"{', '.join(DATA_PLANE_PACKAGES)} -- must not "
-                        f"depend on the live ops plane; use the "
-                        f"duck-typed attach_sampler hook)"
-                    )
-    return violations
-
-
-def check_profile_isolation(src_root: Path) -> List[str]:
-    """Data-plane / cluster modules that import the self-profiling tier.
-
-    Same shape as :func:`check_live_isolation`, for
-    ``repro.obs.profile``: the profiler attaches by shadowing instance
-    methods from the outside, so nothing it observes may import it --
-    profiling must stay bit-for-bit absent when off.
-    """
-    violations: List[str] = []
-    for path in sorted(src_root.rglob("*.py")):
-        module = _module_name(path, src_root)
-        if not any(
-            module == pkg or module.startswith(pkg + ".")
-            for pkg in PROFILE_FORBIDDEN_PACKAGES
-        ):
-            continue
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
-            targets: List[str] = []
-            if isinstance(node, ast.Import):
-                targets = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                targets = [node.module or ""]
-            for target in targets:
-                if target == "repro.obs.profile" or target.startswith(
-                    "repro.obs.profile."
-                ):
-                    violations.append(
-                        f"{path}:{node.lineno}: imports {target!r} "
-                        f"(the observed planes -- "
-                        f"{', '.join(PROFILE_FORBIDDEN_PACKAGES)} -- must "
-                        f"not depend on the self-profiler; it attaches by "
-                        f"instance shadowing via the duck-typed "
-                        f"self_profiler slot)"
-                    )
-    return violations
-
-
-def check_plan_isolation(src_root: Path) -> List[str]:
-    """Both directions of the planning layer's boundary.
-
-    Forward: modules under ``repro.plan`` may import only the stdlib,
-    :data:`PLAN_ALLOWED_PREFIXES`, and themselves -- in particular never
-    the futures runtime, the simulator core, or the shuffle variants
-    (the planner ranks variants by *name*; executing them is the call
-    sites' job).  Reverse: the mechanism layers in
-    :data:`PLAN_FORBIDDEN_IMPORTERS` must never import ``repro.plan``,
-    except the legacy wrapper modules in :data:`PLAN_IMPORT_EXEMPT`.
-    """
-    violations: List[str] = []
-    for path in sorted(src_root.rglob("*.py")):
-        module = _module_name(path, src_root)
-        in_plan = module == "repro.plan" or module.startswith("repro.plan.")
-        forbidden = module not in PLAN_IMPORT_EXEMPT and any(
-            module == pkg or module.startswith(pkg + ".")
-            for pkg in PLAN_FORBIDDEN_IMPORTERS
-        )
-        if not in_plan and not forbidden:
-            continue
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
-            targets: List[str] = []
-            if isinstance(node, ast.Import):
-                targets = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                targets = [node.module or ""]
-            for target in targets:
-                if in_plan:
-                    if target.startswith("repro") and not any(
-                        target == prefix or target.startswith(prefix + ".")
-                        for prefix in PLAN_ALLOWED_PREFIXES
-                    ):
-                        violations.append(
-                            f"{path}:{node.lineno}: imports {target!r} "
-                            f"(repro.plan is a pure lowering library and "
-                            f"may only import "
-                            f"{', '.join(PLAN_ALLOWED_PREFIXES)})"
-                        )
-                elif target == "repro.plan" or target.startswith(
-                    "repro.plan."
-                ):
-                    violations.append(
-                        f"{path}:{node.lineno}: imports {target!r} "
-                        f"(mechanism layers -- "
-                        f"{', '.join(PLAN_FORBIDDEN_IMPORTERS)} -- must "
-                        f"not depend on the planning layer; only "
-                        f"{', '.join(PLAN_IMPORT_EXEMPT)} may, as the "
-                        f"legacy wrapper)"
-                    )
-    return violations
-
-
 def main(argv: List[str] = None) -> int:
     """Entry point: check the tree, print violations, exit nonzero."""
     args = list(sys.argv[1:] if argv is None else argv)
-    root = Path(args[0]) if args else DEFAULT_ROOT
-    if not root.exists():
-        print(f"layering: no such tree {root}", file=sys.stderr)
+    src_root = Path(args[0]) if args else SRC_ROOT
+    if not src_root.exists():
+        print(f"layering: no such tree {src_root}", file=sys.stderr)
         return 2
-    violations = check_tree(root)
-    # Registry completeness applies to the real policy plane (or any tree
-    # that ships a registry.py); ad-hoc trees passed for import linting
-    # alone are not required to carry one.
-    if root == DEFAULT_ROOT or (root / "registry.py").is_file():
-        violations += check_registry_coverage(root)
-    # Streaming isolation spans the whole source tree; run it whenever
-    # the default tree is being checked (i.e. the full CI invocation).
-    if root == DEFAULT_ROOT and SRC_ROOT.exists():
-        violations += check_streaming_isolation(SRC_ROOT)
-        violations += check_live_isolation(SRC_ROOT)
-        violations += check_profile_isolation(SRC_ROOT)
-        violations += check_plan_isolation(SRC_ROOT)
+    violations = check(src_root)
+    # Registry completeness applies to the real tree, or to any tree
+    # that ships a policy registry.
+    policies = src_root / "futures" / "policies"
+    if src_root == SRC_ROOT or (policies / "registry.py").is_file():
+        violations += check_registry_coverage(policies)
     for violation in violations:
         print(violation)
     if violations:
         print(f"layering: {len(violations)} violation(s)", file=sys.stderr)
         return 1
-    print(f"layering: {root} clean")
+    print(f"layering: {src_root} clean")
     return 0
 
 
