@@ -14,6 +14,9 @@ into:
 - :mod:`repro.obs.trace` -- derives causal spans (task lifecycle,
   transfers, spill/restore I/O, job admission-to-completion) from the
   bus and exports Chrome-trace JSON and JSONL;
+- :class:`~repro.obs.fold.NodeFold` -- one incremental fold of the
+  bus into per-node cpu/disk/nic/store/spill-queue tracks, read by both
+  the usage timeline and the live sampler;
 - :class:`~repro.obs.registry.MetricRegistry` -- counters, gauges, and
   histograms with per-node and per-job dimensions plus snapshot/delta
   reports;

@@ -19,10 +19,10 @@ from repro.obs.live.dashboard import (
     follow_runtime,
     replay_frames,
 )
+from repro.obs.fold import NODE_TRACKS
 from repro.obs.live.html import explorer_data, render_html, write_html
 from repro.obs.live.sampler import (
     FEED_KINDS,
-    NODE_TRACKS,
     FeedEntry,
     SeriesRing,
     TimeSeriesSampler,

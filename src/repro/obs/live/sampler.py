@@ -32,12 +32,10 @@ Sampling semantics (the contract the golden digest test pins):
 
 Series maintained (names are ``scope:key:track``):
 
-- ``node:<id>:cpu`` -- executing task attempts on the node;
-- ``node:<id>:disk`` -- in-flight disk requests (spill writes and
-  restores plus direct ``output_to_disk`` writes);
-- ``node:<id>:nic`` -- in-flight transfers touching the node;
-- ``node:<id>:store`` -- object-store occupancy in bytes;
-- ``node:<id>:spill_queue`` -- allocations parked under pressure;
+- ``node:<id>:<track>`` for each of :data:`~repro.obs.fold.NODE_TRACKS`
+  (``cpu``, ``disk``, ``nic``, ``store``, ``spill_queue``) -- the
+  gauges a :class:`~repro.obs.fold.NodeFold` writes, without capacity
+  clamping (so they never depend on the capacities snapshot);
 - ``job:<id>:inflight`` -- submitted-but-unsettled tasks of the job;
 - ``tenant:<name>:finished`` -- cumulative finished tasks (the
   fair-share signal);
@@ -61,6 +59,7 @@ from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.events import EventBus, ObsEvent
+from repro.obs.fold import NodeFold
 
 #: Event kinds kept (with their causal ancestry) for the fault feed.
 FEED_KINDS = (
@@ -71,9 +70,6 @@ FEED_KINDS = (
     "executor.failure",
     "task.retry",
 )
-
-#: Per-node track names, in display order.
-NODE_TRACKS = ("cpu", "disk", "nic", "store", "spill_queue")
 
 
 class SeriesRing:
@@ -187,12 +183,7 @@ class TimeSeriesSampler:
         self._next_boundary: Optional[float] = None
         self._boundary_index = 0
         # -- live state the series sample ----------------------------------
-        self._running_on: Dict[str, str] = {}  # task -> node of live attempt
-        self._disk_begin: Dict[int, str] = {}  # begin seq -> node
-        self._nic_begin: Dict[int, Tuple[str, ...]] = {}  # begin seq -> nodes
-        self._store_bytes: Dict[int, float] = {}  # begin seq -> bytes
-        self._residency: Dict[str, Dict[str, float]] = {}  # obj -> node -> B
-        self._parked: Dict[str, List[str]] = {}  # node -> parked obj ids
+        self._fold = NodeFold()  # per-node tracks, unclamped
         self._gauges: Dict[str, float] = {}  # series name -> current value
         self._job_tenant: Dict[str, str] = {}  # job id -> tenant
         self._job_of_task: Dict[str, Optional[str]] = {}
@@ -291,12 +282,8 @@ class TimeSeriesSampler:
         self._next_boundary += self.interval_s
 
     # -- state transitions -----------------------------------------------------
-    def _bump(self, name: str, delta: float, floor: float = 0.0) -> None:
-        value = max(floor, self._gauges.get(name, 0.0) + delta)
-        self._gauges[name] = value
-
-    def _set(self, name: str, value: float) -> None:
-        self._gauges[name] = value
+    def _bump(self, name: str, delta: float) -> None:
+        self._gauges[name] = max(0.0, self._gauges.get(name, 0.0) + delta)
 
     def _tenant_of(self, event: ObsEvent) -> Optional[str]:
         tenant = event.attrs.get("tenant")
@@ -306,34 +293,15 @@ class TimeSeriesSampler:
             return self._job_tenant.get(event.job)
         return None
 
-    def _node_track(self, node: Optional[str], track: str) -> Optional[str]:
-        return None if node is None else f"node:{node}:{track}"
-
-    def _end_of_attempt(self, task: Optional[str]) -> None:
-        """Close the running attempt of ``task`` (if any) on its node."""
-        if task is None:
-            return
-        node = self._running_on.pop(task, None)
-        if node is not None:
-            self._bump(f"node:{node}:cpu", -1.0)
-
-    def _kill_node_attempts(self, node: Optional[str]) -> None:
-        """A node died or was removed: its executing attempts vanish."""
-        if node is None:
-            return
-        doomed = [t for t, n in self._running_on.items() if n == node]
-        for task in doomed:
-            del self._running_on[task]
-        if doomed:
-            self._set(f"node:{node}:cpu", 0.0)
-
     def _settle_task(self, event: ObsEvent) -> None:
         job = self._job_of_task.pop(event.task, None) if event.task else None
         self._bump("cluster:inflight", -1.0)
         if job is not None:
             self._bump(f"job:{job}:inflight", -1.0)
 
-    def _apply(self, event: ObsEvent) -> None:  # noqa: C901 - one dispatch
+    def _apply(self, event: ObsEvent) -> None:
+        for write in self._fold.apply(event):
+            self._gauges[f"node:{write.node}:{write.track}"] = write.value
         kind = event.kind
         attrs = event.attrs
         tenant = self._tenant_of(event)
@@ -343,83 +311,18 @@ class TimeSeriesSampler:
                 self._job_of_task[event.task] = event.job
             if event.job is not None:
                 self._bump(f"job:{event.job}:inflight", +1.0)
-        elif kind == "task.run":
-            if event.task is not None and event.node is not None:
-                self._end_of_attempt(event.task)  # superseded attempt
-                self._running_on[event.task] = event.node
-                self._bump(f"node:{event.node}:cpu", +1.0)
         elif kind == "task.finish":
-            self._end_of_attempt(event.task)
             self._settle_task(event)
             if event.job is not None:
                 self._bump(f"job:{event.job}:finished", +1.0)
             if tenant is not None:
                 self._bump(f"tenant:{tenant}:finished", +1.0)
         elif kind == "task.fail":
-            self._end_of_attempt(event.task)
             self._settle_task(event)
         elif kind == "task.retry":
-            self._end_of_attempt(event.task)
             self._bump("cluster:retries", +1.0)
         elif kind == "chaos.fault":
             self._bump("cluster:faults", +1.0)
-        elif kind in ("node.death", "executor.failure"):
-            self._kill_node_attempts(event.node)
-        elif kind == "cluster.membership":
-            if attrs.get("action") == "remove":
-                self._kill_node_attempts(event.node)
-        elif kind in (
-            "spill.write.begin", "spill.restore.begin", "disk.write.begin"
-        ):
-            if event.node is not None:
-                self._disk_begin[event.seq] = event.node
-                self._store_bytes[event.seq] = float(attrs.get("bytes", 0.0))
-                self._bump(f"node:{event.node}:disk", +1.0)
-        elif kind in ("spill.write.end", "spill.restore.end", "disk.write.end"):
-            node = self._disk_begin.pop(event.cause, None) or event.node
-            size = self._store_bytes.pop(event.cause, 0.0)
-            if node is not None:
-                self._bump(f"node:{node}:disk", -1.0)
-            if kind == "spill.restore.end":
-                self._store_add(event.node, event.obj, size)
-            elif kind == "spill.write.end" and attrs.get("ok", True):
-                if event.node is not None:
-                    self._bump(f"node:{event.node}:store", -size)
-        elif kind == "transfer.begin":
-            nodes = tuple(
-                n for n in (event.node, attrs.get("src")) if n is not None
-            )
-            self._nic_begin[event.seq] = tuple(str(n) for n in nodes)
-            self._store_bytes[event.seq] = float(attrs.get("bytes", 0.0))
-            for node in nodes:
-                self._bump(f"node:{node}:nic", +1.0)
-        elif kind == "transfer.end":
-            for node in self._nic_begin.pop(event.cause, ()):
-                self._bump(f"node:{node}:nic", -1.0)
-            size = self._store_bytes.pop(event.cause, 0.0)
-            if attrs.get("ok", True):
-                self._store_add(event.node, event.obj, size)
-        elif kind == "object.create":
-            self._store_add(event.node, event.obj, float(attrs.get("bytes", 0.0)))
-            if event.node is not None:
-                parked = self._parked.get(event.node)
-                if parked and event.obj in parked:
-                    parked.remove(event.obj)
-                    self._bump(f"node:{event.node}:spill_queue", -1.0)
-        elif kind == "object.evict":
-            if event.obj is not None:
-                for node, size in self._residency.pop(event.obj, {}).items():
-                    self._bump(f"node:{node}:store", -size)
-        elif kind == "store.pressure":
-            if event.node is not None:
-                self._parked.setdefault(event.node, []).append(event.obj or "")
-                self._bump(f"node:{event.node}:spill_queue", +1.0)
-        elif kind == "spill.fallback":
-            if event.node is not None:
-                parked = self._parked.get(event.node)
-                if parked and event.obj in parked:
-                    parked.remove(event.obj)
-                    self._bump(f"node:{event.node}:spill_queue", -1.0)
         elif kind == "stream.backpressure":
             self._interval_stalls += 1
             self._bump("cluster:stalls", +1.0)
@@ -436,15 +339,6 @@ class TimeSeriesSampler:
         if kind in FEED_KINDS:
             self._feed_index[event.seq] = event
             self.feed.append(self._feed_entry(event))
-
-    def _store_add(
-        self, node: Optional[str], obj: Optional[str], size: float
-    ) -> None:
-        if node is None or size <= 0:
-            return
-        if obj is not None:
-            self._residency.setdefault(obj, {})[node] = size
-        self._bump(f"node:{node}:store", size)
 
     def _feed_entry(self, event: ObsEvent) -> FeedEntry:
         chain: List[str] = []

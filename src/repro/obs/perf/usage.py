@@ -1,23 +1,12 @@
 """Per-node resource usage timelines derived from the event stream.
 
-Every track is a step function reconstructed purely from recorded
-events -- no runtime access needed, so the same analysis runs on a
-live bus or a ``record_run`` JSONL file:
-
-- ``cpu`` -- concurrently executing task attempts (from task spans);
-- ``disk`` -- in-flight disk requests: spill writes, spill restores,
-  and direct ``output_to_disk`` writes (the simulated disk is a FIFO
-  byte server, so coverage *is* utilization);
-- ``nic`` -- in-flight transfers touching the node, as source or
-  destination;
-- ``store`` -- object-store occupancy in bytes, from
-  ``object.create`` / ``transfer.end`` / ``spill.restore.end`` adds
-  and ``spill.write.end`` / ``object.evict`` removals (clamped at
-  zero: spill writes report file bytes, not per-object residency, so
-  this is an approximation biased low under heavy fusing);
-- ``spill_queue`` -- allocations parked under memory pressure
-  (``store.pressure`` opens, the matching ``object.create`` or
-  ``spill.fallback`` closes).
+Every track is a step function recorded from the writes of one
+:class:`~repro.obs.fold.NodeFold` over the recorded events -- no
+runtime access needed, so the same analysis runs on a live bus or a
+``record_run`` JSONL file.  The tracks (``cpu``, ``disk``, ``nic``,
+``store``, ``spill_queue``) and their rules are the fold's; the usage
+view passes the recorded node capacities in, so ``store`` occupancy is
+clamped at each node's ``object_store_bytes``.
 
 :class:`UsageTimeline` answers "how busy was each resource" (busy
 fractions, slot utilizations against the recorded cluster spec) and
@@ -32,18 +21,16 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.metrics.tables import ResultTable
 from repro.obs.events import ObsEvent
-from repro.obs.trace import Span, derive_spans, node_pids
+from repro.obs.fold import NODE_TRACKS, NodeFold
+from repro.obs.trace import Span, node_pids
 
 #: Cluster utilization at or above this fraction marks a resource
 #: *saturated* (the binding constraint, not just the busiest thing).
 SATURATION_THRESHOLD = 0.85
-
-#: The track names every node gets.
-TRACKS = ("cpu", "disk", "nic", "store", "spill_queue")
 
 
 class StepTrack:
@@ -52,25 +39,23 @@ class StepTrack:
     def __init__(self) -> None:
         self._ts: List[float] = []
         self._values: List[float] = []
+        #: Writes that made the newest point, net of same-instant pairs.
+        self._writes = 0
 
-    def set(self, ts: float, value: float) -> None:
+    def set(self, ts: float, value: float, instant: bool = False) -> None:
+        """Step to ``value`` from ``ts`` on; writes at one instant share
+        a point.  An ``instant`` write closes an interval opened at this
+        same instant -- the pair changed nothing, so a point only such
+        pairs wrote is dropped."""
         if self._ts and ts <= self._ts[-1] + 1e-12:
             self._values[-1] = value
+            self._writes += -1 if instant else 1
+            if self._writes == 0:
+                del self._ts[-1], self._values[-1]
             return
         self._ts.append(ts)
         self._values.append(value)
-
-    def add(
-        self,
-        ts: float,
-        delta: float,
-        floor: float = 0.0,
-        ceiling: Optional[float] = None,
-    ) -> None:
-        value = max(floor, self.value_at(ts) + delta)
-        if ceiling is not None:
-            value = min(value, ceiling)
-        self.set(ts, value)
+        self._writes = 1
 
     @property
     def points(self) -> List[Tuple[float, float]]:
@@ -83,37 +68,27 @@ class StepTrack:
     def max_value(self) -> float:
         return max(self._values, default=0.0)
 
-    def integral(self, start: float, end: float) -> float:
-        """Integral of the track over ``[start, end]`` (value-seconds)."""
+    def _pieces(
+        self, start: float, end: float
+    ) -> Iterator[Tuple[float, float]]:
+        """``(value, seconds)`` of each constant piece of ``[start, end]``."""
         if end <= start or not self._ts:
-            return 0.0
-        total = 0.0
-        value = self.value_at(start)
-        cursor = start
+            return
+        value, cursor = self.value_at(start), start
         i = bisect.bisect_right(self._ts, start)
         while i < len(self._ts) and self._ts[i] < end:
-            total += value * (self._ts[i] - cursor)
+            yield value, self._ts[i] - cursor
             cursor, value = self._ts[i], self._values[i]
             i += 1
-        total += value * (end - cursor)
-        return total
+        yield value, end - cursor
+
+    def integral(self, start: float, end: float) -> float:
+        """Integral of the track over ``[start, end]`` (value-seconds)."""
+        return sum((v * w for v, w in self._pieces(start, end)), 0.0)
 
     def busy_time(self, start: float, end: float) -> float:
         """Seconds in ``[start, end]`` where the value is positive."""
-        if end <= start or not self._ts:
-            return 0.0
-        total = 0.0
-        value = self.value_at(start)
-        cursor = start
-        i = bisect.bisect_right(self._ts, start)
-        while i < len(self._ts) and self._ts[i] < end:
-            if value > 0:
-                total += self._ts[i] - cursor
-            cursor, value = self._ts[i], self._values[i]
-            i += 1
-        if value > 0:
-            total += end - cursor
-        return total
+        return sum((w for v, w in self._pieces(start, end) if v > 0), 0.0)
 
 
 @dataclass(frozen=True)
@@ -350,20 +325,8 @@ class UsageTimeline:
         return "\n".join(parts)
 
 
-def _transfer_bytes(
-    end_event: ObsEvent, begin_index: Dict[int, ObsEvent]
-) -> float:
-    begin = (
-        begin_index.get(end_event.cause)
-        if end_event.cause is not None
-        else None
-    )
-    return float(begin.attrs.get("bytes", 0.0)) if begin is not None else 0.0
-
-
 def derive_usage(
     events: Sequence[ObsEvent],
-    spans: Optional[List[Span]] = None,
     cluster: Optional[Dict[str, Dict[str, Any]]] = None,
 ) -> UsageTimeline:
     """Build the per-node usage timeline for a recorded run.
@@ -371,111 +334,31 @@ def derive_usage(
     ``cluster`` overrides the capacities; by default they come from the
     trailing ``run.summary`` event (recorded by ``record_run``).
     """
-    if spans is None:
-        spans = derive_spans(events)
     capacities: Dict[str, Dict[str, Any]] = dict(cluster or {})
     if not capacities:
         for event in reversed(events):
             if event.kind == "run.summary":
                 capacities = dict(event.attrs.get("cluster", {}))
                 break
-    t0 = events[0].ts if events else 0.0
-    t1 = max(
-        max((e.ts for e in events), default=0.0),
-        max((s.end for s in spans), default=0.0),
+    fold = NodeFold(
+        store_caps={
+            node: float(spec["object_store_bytes"])
+            for node, spec in capacities.items()
+            if spec.get("object_store_bytes")
+        }
     )
     tracks: Dict[str, Dict[str, StepTrack]] = {
-        name: {} for name in TRACKS
+        name: {} for name in NODE_TRACKS
     }
-
-    def get(name: str, node: str) -> StepTrack:
-        track = tracks[name].get(node)
-        if track is None:
-            track = tracks[name][node] = StepTrack()
-        return track
-
-    # Concurrency tracks come from spans: collect +1/-1 deltas and
-    # replay them in time order per (track, node).
-    deltas: Dict[Tuple[str, str], List[Tuple[float, float]]] = {}
-
-    def bump(name: str, node: Optional[str], start: float, end: float) -> None:
-        if node is None or end <= start:
-            return
-        deltas.setdefault((name, node), []).append((start, +1.0))
-        deltas.setdefault((name, node), []).append((end, -1.0))
-
-    for span in spans:
-        if span.cat == "task":
-            bump("cpu", span.node, span.start, span.end)
-        elif span.cat in ("spill", "disk"):
-            bump("disk", span.node, span.start, span.end)
-        elif span.cat == "transfer":
-            bump("nic", span.node, span.start, span.end)
-            src = span.attrs.get("src")
-            if src:
-                bump("nic", str(src), span.start, span.end)
-    for (name, node), changes in deltas.items():
-        changes.sort(key=lambda c: c[0])
-        track = get(name, node)
-        value = 0.0
-        for ts, delta in changes:
-            value += delta
-            track.set(ts, max(0.0, value))
-
-    # Byte/queue tracks come from the raw events, replayed in order.
-    begin_index = {
-        e.seq: e
-        for e in events
-        if e.kind in ("transfer.begin", "spill.write.begin",
-                      "spill.restore.begin")
-    }
-    #: obj -> node -> resident bytes (for evict accounting).
-    residency: Dict[str, Dict[str, float]] = {}
-    #: node -> objs whose allocation is parked (for queue depth).
-    parked: Dict[str, List[str]] = {}
-
-    def store_cap(node: str) -> Optional[float]:
-        cap = capacities.get(node, {}).get("object_store_bytes")
-        return float(cap) if cap else None
-
-    def store_add(node: Optional[str], obj: Optional[str],
-                  size: float, ts: float) -> None:
-        if node is None or size <= 0:
-            return
-        if obj is not None:
-            residency.setdefault(obj, {})[node] = size
-        # Capped at the recorded capacity: restores feeding remote
-        # streams never actually re-enter the store, so the raw sum of
-        # adds overshoots -- occupancy is "how full", not "how much
-        # traffic".
-        get("store", node).add(ts, size, ceiling=store_cap(node))
-
     for event in events:
-        if event.kind == "object.create":
-            store_add(event.node, event.obj, float(event.attrs.get("bytes", 0.0)), event.ts)
-            if event.node in parked and event.obj in parked[event.node]:
-                parked[event.node].remove(event.obj)
-                get("spill_queue", event.node).add(event.ts, -1.0)
-        elif event.kind == "transfer.end" and event.attrs.get("ok", True):
-            store_add(event.node, event.obj, _transfer_bytes(event, begin_index), event.ts)
-        elif event.kind == "spill.restore.end":
-            store_add(event.node, event.obj, _transfer_bytes(event, begin_index), event.ts)
-        elif event.kind == "spill.write.end" and event.node is not None:
-            if event.attrs.get("ok", True):
-                get("store", event.node).add(
-                    event.ts, -_transfer_bytes(event, begin_index)
-                )
-        elif event.kind == "object.evict" and event.obj is not None:
-            for node, size in residency.pop(event.obj, {}).items():
-                get("store", node).add(event.ts, -size)
-        elif event.kind == "store.pressure" and event.node is not None:
-            parked.setdefault(event.node, []).append(event.obj or "")
-            get("spill_queue", event.node).add(event.ts, +1.0)
-        elif event.kind == "spill.fallback" and event.node is not None:
-            if event.node in parked and event.obj in parked[event.node]:
-                parked[event.node].remove(event.obj)
-                get("spill_queue", event.node).add(event.ts, -1.0)
-
+        for write in fold.apply(event):
+            per_node = tracks[write.track]
+            track = per_node.get(write.node)
+            if track is None:
+                track = per_node[write.node] = StepTrack()
+            track.set(event.ts, write.value, write.instant)
+    t0 = events[0].ts if events else 0.0
+    t1 = max((e.ts for e in events), default=0.0)
     return UsageTimeline(t0, t1, tracks, capacities)
 
 
@@ -498,9 +381,7 @@ def usage_chrome_events(
     Perfetto each node's counter rows sit directly under its span
     lanes (object-store occupancy next to the tasks that filled it).
     """
-    if spans is None:
-        spans = derive_spans(events)
-    timeline = derive_usage(events, spans=spans)
+    timeline = derive_usage(events)
     pid_of = node_pids(events, spans)
     out: List[Dict[str, Any]] = []
     for name, per_node in timeline.tracks.items():

@@ -2,8 +2,8 @@
 
 ``record_run`` exports a runtime's bus as JSONL with a trailing
 synthetic ``run.summary`` event carrying the flat counters, the per-job
-buckets, and the dimensioned metric snapshot -- one file is the whole
-run.  :class:`RunReport` loads that file (or a live event list) and
+buckets, and the registry's gauges and histograms -- one file is the
+whole run.  :class:`RunReport` loads that file (or a live event list) and
 renders the sections behind ``python -m repro.obs``:
 
 - phase breakdown (per task function: count, makespan, busy core-seconds,
@@ -41,17 +41,21 @@ def record_run(runtime: Any, path: str) -> int:
 
     Samples the per-node gauges first, then appends a synthetic
     ``run.summary`` event holding ``runtime.stats()``, the per-job
-    counter buckets, and the metric-registry snapshot, so the file is
-    self-sufficient for offline reporting.  Returns the number of lines
-    written.  ``runtime`` is duck-typed (needs ``bus``, ``stats``,
-    ``job_stats``, ``metrics``, ``sample_gauges``).
+    counter buckets, and the metric-registry snapshot without its
+    counters (``stats`` and ``job_stats`` already hold every counter
+    value once), so the file is self-sufficient for offline reporting.
+    Returns the number of lines written.  ``runtime`` is duck-typed
+    (needs ``bus``, ``stats``, ``job_stats``, ``metrics``,
+    ``sample_gauges``).
     """
     runtime.sample_gauges()
     bus: EventBus = runtime.bus
+    metrics = runtime.metrics.snapshot()
+    del metrics["counters"]
     attrs = {
         "stats": runtime.stats(),
         "job_stats": runtime.job_stats(),
-        "metrics": runtime.metrics.snapshot(),
+        "metrics": metrics,
         "cluster": runtime.cluster_snapshot(),
     }
     # Duck-typed: present only when a repro.obs.profile.SelfProfiler is
@@ -89,7 +93,8 @@ class RunReport:
 
     # -- sections -------------------------------------------------------------
     def task_spans(self) -> List[Span]:
-        """Completed task-attempt spans, sorted by start time."""
+        """Task-attempt spans of every status (``attrs["status"]`` is
+        ``ok``, ``failed`` or ``interrupted``), sorted by start time."""
         return [s for s in self.spans if s.cat == "task"]
 
     def phase_table(self) -> ResultTable:

@@ -126,7 +126,7 @@ REQUIRED_DOCS = {
         ["data_plane.md", "jobs.md", "streaming.md", "observability.md"],
     ),
     "observability.md": (
-        ["p999", "SelfProfiler"],
+        ["p999", "SelfProfiler", "NodeFold"],
         ["streaming.md", "live.md", "profiling.md"],
     ),
     "profiling.md": (

@@ -237,3 +237,37 @@ def test_profile_isolation_catches_observed_plane_imports(tmp_path):
     assert len(violations) == 3
     assert all("rogue.py" in v for v in violations)
     assert all("self_profiler" in v for v in violations)
+
+
+def test_metrics_does_not_import_obs_in_the_real_tree():
+    """``repro.obs`` builds on ``repro.metrics``; nothing under
+    ``repro.metrics`` imports ``repro.obs`` back."""
+    lint = _lint()
+    assert lint.check(REPO / "src" / "repro", "metrics") == []
+
+
+def test_metrics_rule_catches_obs_imports(tmp_path):
+    """Top-level and lazy (function-local) imports of ``repro.obs`` from
+    ``repro.metrics`` are flagged; ``repro.obs`` importing
+    ``repro.metrics`` is the allowed direction."""
+    lint = _lint()
+    src_root = _tree(tmp_path, "metrics", "obs")
+    (src_root / "metrics" / "rogue.py").write_text(
+        textwrap.dedent(
+            """
+            from repro.metrics.tables import ResultTable
+            import repro.obs.events
+
+            def spans(events):
+                from repro.obs.trace import derive_spans
+                return derive_spans(events)
+            """
+        )
+    )
+    (src_root / "obs" / "report.py").write_text(
+        "from repro.metrics.tables import ResultTable\n"
+    )
+    violations = lint.check(src_root, "metrics")
+    offending = [v.split("imports ")[1].split(" ")[0] for v in violations]
+    assert offending == ["'repro.obs.events'", "'repro.obs.trace'"]
+    assert all("rogue.py" in v for v in violations)

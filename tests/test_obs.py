@@ -22,16 +22,18 @@ from repro.chaos.harness import expected_output, make_inputs, submit_variant
 from repro.chaos.injector import ChaosInjector
 from repro.common.units import MIB
 from repro.futures import RetryPolicy, RuntimeConfig
-from repro.metrics import Counters, export_chrome_trace, task_spans
+from repro.metrics import Counters
 from repro.obs import (
     EVENT_KINDS,
     EventBus,
     GLOBAL_DIM,
     MetricRegistry,
+    ObsEvent,
     RunReport,
     derive_spans,
     record_run,
     span_chrome_events,
+    write_chrome_trace,
 )
 from repro.obs.trace import lineage_parents
 
@@ -294,14 +296,15 @@ class TestChromeTraceSchema:
 
         rt.run(driver)
         rt.env.run()
-        assert all(s["job_id"] == "spiller" for s in task_spans(rt))
+        spans = RunReport(rt.bus.events).task_spans()
+        assert spans and all(s.job == "spiller" for s in spans)
         path = tmp_path / "trace.json"
-        export_chrome_trace(rt, str(path))
+        write_chrome_trace(rt.bus.events, str(path))
         events = json.loads(path.read_text())["traceEvents"]
         cats = {e.get("cat") for e in events}
         assert "spill" in cats  # bus-derived I/O rides along with tasks
         assert all(
-            e["args"]["job_id"] == "spiller"
+            e["args"]["job"] == "spiller"
             for e in events
             if e.get("cat") == "task"
         )
@@ -318,6 +321,29 @@ class TestRunReport:
                         "Fault / retry timeline"):
             assert section in rendered
         assert "chaos.fault" in rendered
+
+    def test_summary_records_each_counter_once(self, tmp_path):
+        rt = _chaos_runtime()
+        path = tmp_path / "run.jsonl"
+        record_run(rt, str(path))
+        report = RunReport.load(str(path))
+        summary = report.summary
+        assert "counters" not in summary["metrics"]
+        for name in rt.metrics.counter_names():
+            jobs = [j for j, bucket in summary["job_stats"].items()
+                    if name in bucket]
+            assert summary["stats"][name] == rt.counters.get(name)
+            assert json.dumps(summary).count(f'"{name}"') == 1 + len(jobs)
+        # The reporter never read the registry's counters: adding them
+        # back changes nothing it renders.
+        events = list(report.events)
+        full = dict(summary)
+        full["metrics"] = rt.metrics.snapshot()
+        events[-1] = ObsEvent(seq=events[-1].seq, ts=events[-1].ts,
+                              kind="run.summary", attrs=full)
+        assert "counters" in RunReport(events).summary["metrics"]
+        assert RunReport(events).render() == report.render()
+        assert RunReport(events).to_dict() == report.to_dict()
 
     def test_per_job_spill_bytes_sum_to_global(self, tmp_path):
         rt = make_runtime(num_nodes=2, store_mib=4)

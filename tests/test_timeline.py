@@ -1,17 +1,10 @@
-"""Timeline reconstruction and Chrome-trace export."""
+"""Timeline reconstruction and Chrome-trace export, from the event bus."""
 
 import json
 
-import pytest
-
 from repro.common.units import MB
-from repro.metrics import (
-    chrome_trace_events,
-    export_chrome_trace,
-    phase_summary,
-    task_spans,
-)
-from repro.metrics.timeline import _assign_lanes
+from repro.obs import RunReport, Span, span_chrome_events, write_chrome_trace
+from repro.obs.trace import _pack_lanes
 from repro.sort import SortJobConfig, run_sort
 
 from tests.conftest import make_runtime
@@ -30,26 +23,36 @@ def _sorted_runtime():
     return rt
 
 
+def _finished_spans(rt):
+    spans = RunReport(rt.bus.events).task_spans()
+    return [s for s in spans if s.attrs["status"] == "ok"]
+
+
+def _span(start, end):
+    return Span(name="t", cat="task", start=start, end=end)
+
+
 class TestTaskSpans:
     def test_spans_cover_all_finished_tasks(self):
         rt = _sorted_runtime()
-        spans = task_spans(rt)
+        spans = _finished_spans(rt)
         assert len(spans) == rt.counters.get("tasks_finished")
         for span in spans:
-            assert span["end"] >= span["start"] >= 0
-            assert span["queue_delay"] >= 0
+            assert span.end >= span.start >= 0
+            assert span.attrs["queue_delay"] >= 0
 
     def test_spans_sorted_by_start(self):
-        spans = task_spans(_sorted_runtime())
-        starts = [s["start"] for s in spans]
+        spans = _finished_spans(_sorted_runtime())
+        starts = [s.start for s in spans]
         assert starts == sorted(starts)
 
 
 class TestPhaseSummary:
     def test_summary_has_one_row_per_function(self):
         rt = _sorted_runtime()
-        table = phase_summary(rt)
+        table = RunReport(rt.bus.events).phase_table()
         phases = table.column("phase")
+        assert len(phases) == len(set(phases))
         assert "gen_virtual" in phases
         assert any("push_map" in p for p in phases)
         for row in table.rows:
@@ -59,20 +62,12 @@ class TestPhaseSummary:
 
 class TestLaneAssignment:
     def test_non_overlapping_spans_share_a_lane(self):
-        spans = [
-            {"start": 0.0, "end": 1.0},
-            {"start": 1.0, "end": 2.0},
-            {"start": 2.5, "end": 3.0},
-        ]
-        assert _assign_lanes(spans) == [0, 0, 0]
+        spans = [_span(0.0, 1.0), _span(1.0, 2.0), _span(2.5, 3.0)]
+        assert _pack_lanes(spans) == [0, 0, 0]
 
     def test_overlapping_spans_split_lanes(self):
-        spans = [
-            {"start": 0.0, "end": 2.0},
-            {"start": 1.0, "end": 3.0},
-            {"start": 1.5, "end": 1.8},
-        ]
-        lanes = _assign_lanes(spans)
+        spans = [_span(0.0, 2.0), _span(1.0, 3.0), _span(1.5, 1.8)]
+        lanes = _pack_lanes(spans)
         assert lanes[0] != lanes[1]
         assert len(set(lanes)) == 3
 
@@ -80,7 +75,7 @@ class TestLaneAssignment:
 class TestChromeTrace:
     def test_events_are_valid_trace_format(self):
         rt = _sorted_runtime()
-        events = chrome_trace_events(rt)
+        events = span_chrome_events(rt.bus.events)
         tasks = [
             e for e in events
             if e.get("ph") == "X" and e.get("cat") == "task"
@@ -89,7 +84,11 @@ class TestChromeTrace:
         assert len(metas) == 2  # one per node
         assert len(tasks) == rt.counters.get("tasks_finished")
         for event in tasks:
-            assert "job_id" in event["args"]
+            # Unattributed tasks carry no job; attributed ones carry it
+            # (tests/test_obs.py, the spiller job).
+            assert "job" not in event["args"]
+            assert event["args"]["task"]
+            assert event["args"]["attrs"]["status"] == "ok"
         for event in tasks:
             assert event["dur"] >= 0
             assert event["ts"] >= 0
@@ -98,7 +97,7 @@ class TestChromeTrace:
     def test_export_writes_parseable_json(self, tmp_path):
         rt = _sorted_runtime()
         path = tmp_path / "trace.json"
-        count = export_chrome_trace(rt, str(path))
+        count = write_chrome_trace(rt.bus.events, str(path))
         payload = json.loads(path.read_text())
         assert len([e for e in payload["traceEvents"] if e["ph"] == "X"]) == count
         assert count > 0

@@ -20,6 +20,9 @@ source tree against every row; only absolute imports are checked
 - ``plan`` / ``plan-callers`` -- the planner is a pure lowering library
   over value types, and the mechanisms it chooses between never import
   it (``repro.shuffle.select``, the legacy wrapper, excepted).
+- ``metrics`` -- ``repro.obs`` builds on ``repro.metrics`` (counters,
+  histograms, result tables), so ``repro.metrics`` never imports it
+  back; spans and Chrome traces live in ``repro.obs.trace``.
 
 :func:`check_registry_coverage` additionally requires every declared
 policy kind to have a registered built-in.  Run as
@@ -105,6 +108,12 @@ RULES: Tuple[Rule, ...] = (
         exempt=("repro.shuffle.select",),
         reason="mechanism layers must not depend on the planning layer; "
         "only repro.shuffle.select may, as the legacy wrapper",
+    ),
+    Rule(
+        "metrics",
+        scope=("repro.metrics",),
+        forbidden=("repro.obs",),
+        reason="repro.obs builds on repro.metrics, not the other way round",
     ),
 )
 
